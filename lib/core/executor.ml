@@ -78,12 +78,9 @@ type config = {
    HELIX_ENGINE=legacy|event flips every run back for A/B comparison
    without touching call sites. *)
 let default_engine =
-  match Sys.getenv_opt "HELIX_ENGINE" with
-  | Some s -> (
-      match Engine.kind_of_string (String.lowercase_ascii (String.trim s)) with
-      | Some k -> k
-      | None -> Engine.Heap)
-  | None -> Engine.Heap
+  Helix_obs.Env.get "HELIX_ENGINE" ~accepted:"legacy, event or heap"
+    ~default:Engine.Heap (fun s ->
+      Engine.kind_of_string (String.lowercase_ascii s))
 
 let default_config ?(ring = true) ?(comm = fully_decoupled) ?trace
     ?(robust = no_robustness) ?(engine = default_engine) mach =
@@ -209,7 +206,7 @@ type t = {
   mutable sched_sig : bool * int * int * int * int * bool * int;
   mutable sched_changed : bool;
   (* conventional signalling: (seg, origin) -> store cycles, in order *)
-  conv_signals : (int * int, int list ref) Hashtbl.t;
+  conv_log : Signal_log.t;
   (* addresses of demoted-register cells, for routing *)
   reg_cells : (int, unit) Hashtbl.t;
   (* robustness state *)
@@ -243,22 +240,48 @@ type t = {
 }
 
 (* Global iteration for core [c]'s [k]-th local iteration: lanes repeat
-   every [t.n] iterations, so with [m] owned lanes the worker sweeps its
-   sorted lane list once per block of [t.n].  Reduces to [k * n + c]
+   every [n] iterations, so with [m] owned lanes the worker sweeps its
+   sorted lane list once per block of [n].  Reduces to [k * n + c]
    when [owned.(c) = [c]]. *)
-let iter_of_local t ~core ~local_iter =
-  let lanes = t.owned.(core) in
+let iter_of_local ~n ~owned ~core ~local_iter =
+  let lanes = owned.(core) in
   let m = List.length lanes in
-  (t.n * (local_iter / m)) + List.nth lanes (local_iter mod m)
+  (n * (local_iter / m)) + List.nth lanes (local_iter mod m)
+
+let rec lanes_below r acc = function
+  | [] -> acc
+  | l :: tl -> lanes_below r (if l < r then acc + 1 else acc) tl
 
 (* How many of core [c']'s iterations precede global iteration [g]:
    whole blocks contribute all of its lanes, the partial block the lanes
    below [g mod n].  This is the signal threshold [g]'s segments must
    wait for from origin [c']. *)
-let iters_before t ~core:c' ~iter:g =
-  let q = g / t.n and r = g mod t.n in
-  (List.length t.owned.(c') * q)
-  + List.length (List.filter (fun l -> l < r) t.owned.(c'))
+let iters_before ~n ~owned ~core:c' ~iter:g =
+  (List.length owned.(c') * (g / n)) + lanes_below (g mod n) 0 owned.(c')
+
+(* Before its local iteration [local_iter] (global iteration g) may enter
+   sequential segment [seg], core [core] needs from every other live core
+   exactly as many signals as that core has iterations preceding g.  A
+   dead core neither signals nor is waited on; its adopted lanes count
+   toward the adopter.  While everyone lives this is the classic k / k+1
+   split around the core id.
+
+   [ok env ~core ~seg ~cycle origin threshold] asks the signal source
+   whether one origin's threshold is met.  Origins are visited in
+   ascending order and the loop stops at the first [false]; that order is
+   part of the contract, because the ring's check marks thresholds
+   consumed for the outstanding-signal accounting.  Neither the loop nor
+   a static [ok] allocates, so a blocked core's poll costs O(origins). *)
+let wait_satisfied ~n ~alive ~owned ~core ~seg ~cycle ~local_iter ok env =
+  let g = iter_of_local ~n ~owned ~core ~local_iter in
+  let c' = ref 0 and sat = ref true in
+  while !sat && !c' < n do
+    let o = !c' in
+    if o <> core && alive.(o) then
+      sat := ok env ~core ~seg ~cycle o (iters_before ~n ~owned ~core:o ~iter:g);
+    incr c'
+  done;
+  !sat
 
 let find_loop t ~func ~header =
   match t.compiled with
@@ -266,25 +289,16 @@ let find_loop t ~func ~header =
   | Some c -> Hcc.find_parallel_loop c ~func ~header
 
 let trace_invocations =
-  match Sys.getenv_opt "HELIX_TRACE_INV" with
-  | Some s -> (try int_of_string s with _ -> 0)
-  | None -> 0
+  Helix_obs.Env.get "HELIX_TRACE_INV"
+    ~accepted:"a number of invocations (integer >= 0)" ~default:0
+    (Helix_obs.Env.int_at_least 0)
 
 let traced = ref 0
 
 (* ---- conventional chained signalling ---- *)
 
 let conv_signal_record t ~seg ~origin ~cycle =
-  let key = (seg, origin) in
-  let cell =
-    match Hashtbl.find_opt t.conv_signals key with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.conv_signals key l;
-        l
-  in
-  cell := cycle :: !cell (* newest first *);
+  Signal_log.record t.conv_log ~seg ~origin ~cycle;
   (* publish the cycle at which this signal becomes visible to waiters,
      for the event engine: a fast-forward must not cross it.  Record
      cycles are nondecreasing, so the queue stays sorted. *)
@@ -292,19 +306,17 @@ let conv_signal_record t ~seg ~origin ~cycle =
     t.conv_vis
 
 (* Is the [threshold]-th (1-based) signal visible at [cycle], given the
-   cache-to-cache visibility latency? *)
-let conv_signal_visible t ~seg ~origin ~threshold ~cycle =
-  if threshold <= 0 then true
-  else
-    match Hashtbl.find_opt t.conv_signals (seg, origin) with
-    | None -> false
-    | Some l ->
-        let times = List.rev !l in
-        List.length times >= threshold
-        && List.nth times (threshold - 1)
-           (* serialized signal request + transmission (Section 3.2) *)
-           + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency)
-           <= cycle
+   cache-to-cache visibility latency?  A [wait_satisfied] predicate. *)
+let conv_signal_visible t ~core:_ ~seg ~cycle origin threshold =
+  threshold <= 0
+  || Signal_log.count t.conv_log ~seg ~origin >= threshold
+     && Signal_log.nth t.conv_log ~seg ~origin threshold
+        (* serialized signal request + transmission (Section 3.2) *)
+        + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency)
+        <= cycle
+
+let ring_signals_satisfied ring ~core ~seg ~cycle:_ origin threshold =
+  Ring.signals_satisfied ring ~node:core ~seg ~origin ~threshold
 
 (* ---- shared-world callback for core [c] ---- *)
 
@@ -315,18 +327,28 @@ let route_via_ring t addr =
       if Hashtbl.mem t.reg_cells addr then t.cfg.comm.reg_via_ring
       else t.cfg.comm.mem_via_ring
 
-let wait_thresholds t ~core ~local_iter =
-  (* before its local iteration k (global iteration g) may enter a
-     sequential segment, core [core] needs from every other live core
-     exactly as many signals as that core has iterations preceding g.
-     A dead core neither signals nor is waited on; its adopted lanes
-     count toward the adopter.  While everyone lives this is the
-     classic k / k+1 split around the core id. *)
-  let g = iter_of_local t ~core ~local_iter in
-  List.init t.n (fun c' ->
-      if c' = core || not t.alive.(c') then None
-      else Some (c', iters_before t ~core:c' ~iter:g))
-  |> List.filter_map Fun.id
+let waits_met t ~core ~seg ~cycle ~local_iter ok env =
+  wait_satisfied ~n:t.n ~alive:t.alive ~owned:t.owned ~core ~seg ~cycle
+    ~local_iter ok env
+
+(* Signals core [core] has seen for [(seg, origin)], without touching
+   the consumed accounting: for diagnostics only. *)
+let received_for t ~core ~seg ~origin =
+  match t.ring with
+  | Some r -> Ring.signals_received r ~node:core ~seg ~origin
+  | None -> Signal_log.count t.conv_log ~seg ~origin
+
+(* [(origin, threshold, received)] for each origin core [core]'s wait on
+   [seg] in local iteration [local_iter] needs, in the wait's order. *)
+let wait_targets t ~core ~seg ~local_iter =
+  let acc = ref [] in
+  ignore
+    (waits_met t ~core ~seg ~cycle:!(t.now) ~local_iter
+       (fun () ~core ~seg ~cycle:_ origin threshold ->
+         acc := (origin, threshold, received_for t ~core ~seg ~origin) :: !acc;
+         true)
+       ());
+  List.rev !acc
 
 let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
   t.shared_poke <- true;
@@ -341,11 +363,8 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         if t.cfg.comm.sync_via_ring then begin
           match t.ring with
           | Some ring ->
-              List.for_all
-                (fun (origin, threshold) ->
-                  Ring.signals_satisfied ring ~node:core ~seg ~origin
-                    ~threshold)
-                (wait_thresholds t ~core ~local_iter)
+              waits_met t ~core ~seg ~cycle ~local_iter
+                ring_signals_satisfied ring
           | None -> true
         end
         else
@@ -353,34 +372,22 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
              semantics, but each signal becomes visible only one
              cache-to-cache latency after it is stored -- this is what
              serializes the Figure 5b chain *)
-          List.for_all
-            (fun (origin, threshold) ->
-              conv_signal_visible t ~seg ~origin ~threshold ~cycle)
-            (wait_thresholds t ~core ~local_iter)
+          waits_met t ~core ~seg ~cycle ~local_iter conv_signal_visible t
       in
       if satisfied then begin
         Trace.wait_complete t.cfg.trace ~cycle ~core ~seg ~iter:local_iter;
         Uop.Sh_done { latency = 1; value = 0 }
       end
       else begin
-        if !traced < trace_invocations && cycle land 15 = 0 then begin
-          let missing =
-            List.filter
-              (fun (origin, threshold) ->
-                match t.ring with
-                | Some ring ->
-                    not
-                      (Ring.signals_satisfied ring ~node:core ~seg ~origin
-                         ~threshold)
-                | None -> false)
-              (wait_thresholds t ~core ~local_iter)
-          in
+        if !traced < trace_invocations && cycle land 15 = 0 then
           Printf.eprintf "  [trace] @%d core %d wait seg%d k=%d missing=%s\n"
             cycle core seg local_iter
             (String.concat ","
-               (List.map (fun (o, th) -> Printf.sprintf "%d(th%d)" o th)
-                  missing))
-        end;
+               (List.filter_map
+                  (fun (o, th, have) ->
+                    if have >= th then None
+                    else Some (Printf.sprintf "%d(th%d)" o th))
+                  (wait_targets t ~core ~seg ~local_iter)));
         Uop.Sh_retry
       end
   | Uop.S_signal seg ->
@@ -484,7 +491,10 @@ let worker_next_uop t (ps : par_state) (w : worker) =
         (* schedule the next iteration assigned to this core: the sweep
            over its owned lanes (identical to core-id round-robin while
            every core lives) *)
-        let iter = iter_of_local t ~core:w.w_core ~local_iter:w.w_local_iter in
+        let iter =
+          iter_of_local ~n:t.n ~owned:t.owned ~core:w.w_core
+            ~local_iter:w.w_local_iter
+        in
         if can_start t ps iter then begin
           w.w_local_iter <- w.w_local_iter + 1;
           ps.ps_started <- ps.ps_started + 1;
@@ -626,7 +636,7 @@ let begin_parallel t (pl : Parallel_loop.t) =
         (sr, r0))
       pl.Parallel_loop.pl_shared_regs
   in
-  Hashtbl.reset t.conv_signals;
+  Signal_log.reset t.conv_log;
   Queue.clear t.conv_vis;
   spawn_workers t;
   t.phase <-
@@ -768,7 +778,7 @@ let do_fallback t (ps : par_state) ~reason =
   in
   (match t.ring with Some r -> Ring.abort r | None -> ());
   Memory.restore t.mem ~from:cp;
-  Hashtbl.reset t.conv_signals;
+  Signal_log.reset t.conv_log;
   Queue.clear t.conv_vis;
   for c = 0 to t.n - 1 do
     t.workers.(c) <- None
@@ -970,7 +980,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       conv_vis = Queue.create ();
       sched_sig = (false, 0, 0, 0, 0, false, n);
       sched_changed = false;
-      conv_signals = Hashtbl.create 64;
+      conv_log = Signal_log.create ~origins:n;
       reg_cells;
       depcheck = Depcheck.create ();
       mk_core = (fun _ -> invalid_arg "Executor: cores not initialized");
@@ -1046,8 +1056,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
                       (not w.w_running_iter)
                       && not
                            (can_start t ps
-                              (iter_of_local t ~core:w.w_core
-                                 ~local_iter:w.w_local_iter))
+                              (iter_of_local ~n:t.n ~owned:t.owned
+                                 ~core:w.w_core ~local_iter:w.w_local_iter))
                   | Context.Blocked | Context.Suspended _ -> true
                   | Context.Running -> false)));
     }
@@ -1067,14 +1077,6 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
    ring's complete snapshot.  This is the payload of [Stuck]: when a
    16-core run wedges, the answer is almost always in the one node or
    worker a partial dump would have omitted. *)
-let received_for t ~core ~seg ~origin =
-  match t.ring with
-  | Some r -> Ring.signals_received r ~node:core ~seg ~origin
-  | None -> (
-      match Hashtbl.find_opt t.conv_signals (seg, origin) with
-      | Some l -> List.length !l
-      | None -> 0)
-
 let stuck_report t ~reason =
   let b = Buffer.create 4096 in
   Buffer.add_string b ("HELIX-RC stuck: " ^ reason ^ "\n");
@@ -1143,12 +1145,11 @@ let stuck_report t ~reason =
                 (fun seg ->
                   let targets =
                     List.map
-                      (fun (origin, threshold) ->
-                        let have = received_for t ~core:c ~seg ~origin in
+                      (fun (origin, threshold, have) ->
                         Printf.sprintf "from %d need %d have %d%s" origin
                           threshold have
                           (if have >= threshold then "" else " MISSING"))
-                      (wait_thresholds t ~core:c ~local_iter:k)
+                      (wait_targets t ~core:c ~seg ~local_iter:k)
                   in
                   Buffer.add_string b
                     (Printf.sprintf "    wait targets seg %d (iter %d): %s\n"

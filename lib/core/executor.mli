@@ -128,6 +128,20 @@ exception Stuck of stuck_reason * string
     acceptance vectors, per-class in-flight and fault-recovery counters,
     link occupancy). *)
 
+val wait_satisfied :
+  n:int -> alive:bool array -> owned:int list array -> core:int -> seg:int ->
+  cycle:int -> local_iter:int ->
+  ('e -> core:int -> seg:int -> cycle:int -> int -> int -> bool) -> 'e ->
+  bool
+(** The all-predecessor wait check of core [core]'s local iteration
+    [local_iter] on segment [seg] at [cycle], on [n] lanes where
+    [owned.(c)] lists the lanes live core [c] executes ([[c]] until a
+    fail-stop reknit).  For each live origin [o <> core], in ascending
+    order, it asks [ok env ~core ~seg ~cycle o threshold], where
+    [threshold] is how many of [o]'s iterations precede this one, and
+    stops at the first [false].  The visiting order is part of the
+    contract: the ring's check marks thresholds consumed. *)
+
 val run :
   ?compiled:Hcc.compiled -> config -> Ir.program -> Memory.t -> result
 (** Simulate the program to completion on the given initial memory

@@ -28,9 +28,8 @@ let config_of = function
    existing entry point strictly sequential. *)
 module Pool = struct
   let env_jobs =
-    match Sys.getenv_opt "HELIX_BENCH_JOBS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> 1
+    Helix_obs.Env.get "HELIX_BENCH_JOBS" ~accepted:"a positive integer"
+      ~default:1 (Helix_obs.Env.int_at_least 1)
 
   let jobs_ref = ref env_jobs
   let set_jobs n = jobs_ref := max 1 n

@@ -29,17 +29,18 @@ type t = {
 }
 
 let trace_core =
-  match Sys.getenv_opt "HELIX_TRACE_CORE" with
-  | Some v -> (try int_of_string v with _ -> -1)
-  | None -> -1
+  Helix_obs.Env.get "HELIX_TRACE_CORE" ~accepted:"a core id (integer >= 0)"
+    ~default:(-1) (Helix_obs.Env.int_at_least 0)
 
 let trace_win =
-  match Sys.getenv_opt "HELIX_TRACE_WIN" with
-  | Some v -> (
-      match String.split_on_char '-' v with
-      | [ a; b ] -> (int_of_string a, int_of_string b)
-      | _ -> (0, -1))
-  | None -> (0, -1)
+  Helix_obs.Env.get "HELIX_TRACE_WIN"
+    ~accepted:"a cycle window LO-HI (integers >= 0)" ~default:(0, -1)
+    (fun v ->
+      match
+        List.map (Helix_obs.Env.int_at_least 0) (String.split_on_char '-' v)
+      with
+      | [ Some lo; Some hi ] -> Some (lo, hi)
+      | _ -> None)
 
 let core_counter = ref (-1)
 

@@ -420,6 +420,50 @@ let trend_tests =
           >= 2));
   ]
 
+(* ---- environment variables ----------------------------------------- *)
+
+(* Run [helix_rc list] with one variable set; (exit code, stderr). *)
+let run_with_env var value =
+  let err = Filename.temp_file "helix_env" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s=%s ../bin/helix_rc.exe list >/dev/null 2>%s" var
+         (Filename.quote value) (Filename.quote err))
+  in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  (code, msg)
+
+let env_tests =
+  tc "parse: unset, accepted and malformed values" (fun () ->
+      let conv = Env.int_at_least 1 in
+      let parse = Env.parse "HELIX_X" ~accepted:"a positive integer" conv in
+      Alcotest.(check bool) "unset" true (parse None = Ok None);
+      Alcotest.(check bool) "accepted, trimmed" true
+        (parse (Some " 3 ") = Ok (Some 3));
+      match parse (Some "0") with
+      | Error msg ->
+          Alcotest.(check bool) ("names variable and values: " ^ msg) true
+            (contains msg "HELIX_X" && contains msg "\"0\""
+            && contains msg "a positive integer")
+      | Ok _ -> Alcotest.fail "0 accepted as a positive integer")
+  :: List.map
+       (fun (var, bad, good) ->
+         tc (Fmt.str "%s: %S fails clearly, %S runs" var bad good) (fun () ->
+             let code, msg = run_with_env var bad in
+             check Alcotest.int (var ^ " malformed: exit status") 2 code;
+             Alcotest.(check bool) ("message names the variable: " ^ msg) true
+               (contains msg var && contains msg "expected");
+             let code, msg = run_with_env var good in
+             check Alcotest.int (var ^ " valid: exit status " ^ msg) 0 code))
+       [
+         ("HELIX_ENGINE", "bogus", "event");
+         ("HELIX_BENCH_JOBS", "abc", "2");
+         ("HELIX_TRACE_INV", "x", "1");
+         ("HELIX_TRACE_CORE", "x", "3");
+         ("HELIX_TRACE_WIN", "a-b", "100-200");
+       ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -429,5 +473,6 @@ let () =
       ("legacy-agreement", legacy_agreement_tests);
       ("deadlock-report", deadlock_tests);
       ("bench-trend", trend_tests);
+      ("env", env_tests);
       ("properties", props);
     ]

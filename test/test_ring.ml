@@ -178,6 +178,39 @@ let sb_property_tests =
           (Signal_buffer.received b ~seg:0 ~origin:0);
         check Alcotest.int "outstanding restarts" 1
           (Signal_buffer.max_outstanding b));
+    tc "entries and dump stay sorted by (segment, origin) as the table grows"
+      (fun () ->
+        state := 99;
+        let b = Signal_buffer.create () in
+        let model = Hashtbl.create 64 in
+        (* origins past 16 and segments past the first rows force regrowth
+           in both dimensions, in scrambled order *)
+        for _ = 1 to 400 do
+          let seg = rand 9 and origin = rand 20 in
+          Signal_buffer.record b ~seg ~origin;
+          let r, c = find model (seg, origin) in
+          Hashtbl.replace model (seg, origin) (r + 1, c);
+          if rand 2 = 0 then begin
+            let threshold = rand (r + 2) in
+            if Signal_buffer.satisfied b ~seg ~origin ~threshold
+               && threshold > c
+            then Hashtbl.replace model (seg, origin) (r + 1, threshold)
+          end
+        done;
+        let expected =
+          Hashtbl.fold (fun k (r, c) acc -> (k, r, c) :: acc) model []
+          |> List.sort compare
+        in
+        check
+          Alcotest.(list (triple (pair int int) int int))
+          "entries" expected (Signal_buffer.entries b);
+        check Alcotest.string "dump"
+          (String.concat ""
+             (List.map
+                (fun ((seg, origin), r, _) ->
+                  Printf.sprintf " (seg%d,from%d)=%d" seg origin r)
+                expected))
+          (Signal_buffer.dump b));
   ]
 
 (* ---- owner hashing ----------------------------------------------------- *)

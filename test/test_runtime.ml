@@ -848,6 +848,180 @@ let context_tests =
         check Alcotest.int "depth 1 again" 1 (Context.wait_depth ctx));
   ]
 
+(* ---- wait protocol: threshold loop and conventional signal log -------- *)
+
+(* The list-building threshold formula the wait loop replaced, kept here
+   as the reference: one (origin, threshold) per live origin, ascending,
+   consumed with [List.for_all]. *)
+let reference_thresholds ~n ~alive ~owned ~core ~local_iter =
+  let lanes = owned.(core) in
+  let m = List.length lanes in
+  let g = (n * (local_iter / m)) + List.nth lanes (local_iter mod m) in
+  List.init n (fun c' ->
+      if c' = core || not alive.(c') then None
+      else
+        let q = g / n and r = g mod n in
+        Some
+          ( c',
+            (List.length owned.(c') * q)
+            + List.length (List.filter (fun l -> l < r) owned.(c')) ))
+  |> List.filter_map Fun.id
+
+(* A reknit-style layout: kill [deaths] (never all cores), handing each
+   dead core's lanes round-robin to the least-loaded survivor, lowest
+   id first, as the executor's fail-stop recovery does. *)
+let gen_lane_layout =
+  QCheck.Gen.(
+    int_range 1 16 >>= fun n ->
+    list_size (int_bound (n - 1)) (int_bound (n - 1)) >>= fun deaths ->
+    let alive = Array.make n true in
+    let owned = Array.init n (fun c -> [ c ]) in
+    List.iter
+      (fun d ->
+        if alive.(d) then begin
+          alive.(d) <- false;
+          List.iter
+            (fun lane ->
+              let best = ref (-1) in
+              Array.iteri
+                (fun c l ->
+                  if
+                    alive.(c)
+                    && (!best < 0
+                       || List.length l < List.length owned.(!best))
+                  then best := c)
+                owned;
+              owned.(!best) <- List.sort compare (lane :: owned.(!best)))
+            owned.(d);
+          owned.(d) <- []
+        end)
+      deaths;
+    let live = List.filter (fun c -> alive.(c)) (List.init n Fun.id) in
+    oneofl live >>= fun core ->
+    int_bound 300 >>= fun local_iter ->
+    int >>= fun salt -> return (n, alive, owned, core, local_iter, salt))
+
+let prop_wait_loop_matches_reference =
+  QCheck.Test.make ~name:"wait loop: same calls and result as the list formula"
+    ~count:2000
+    (QCheck.make gen_lane_layout)
+    (fun (n, alive, owned, core, local_iter, salt) ->
+      (* a recording predicate whose answers depend on the call *)
+      let answer o th = Hashtbl.hash (salt, o, th) mod 5 <> 0 in
+      let calls = ref [] in
+      let got =
+        Executor.wait_satisfied ~n ~alive ~owned ~core ~seg:3 ~cycle:77
+          ~local_iter
+          (fun () ~core:c ~seg ~cycle o th ->
+            assert (c = core && seg = 3 && cycle = 77);
+            calls := (o, th) :: !calls;
+            answer o th)
+          ()
+      in
+      let ref_calls = ref [] in
+      let want =
+        List.for_all
+          (fun (o, th) ->
+            ref_calls := (o, th) :: !ref_calls;
+            answer o th)
+          (reference_thresholds ~n ~alive ~owned ~core ~local_iter)
+      in
+      got = want && !calls = !ref_calls)
+
+(* Two loops updating one shared histogram: two parallel invocations
+   whose sequential segments share segment ids, so signals left over
+   from the first would satisfy the second's waits early. *)
+let s_two_hists =
+  mk "two histograms" (fun b layout ->
+      let hist = Memory.Layout.alloc layout "hist" 16 in
+      let an_h = an ~path:"h[]" hist.Memory.Layout.site in
+      let pass salt =
+        ignore
+          (Builder.counted_loop b ~from:(Ir.Imm 0) ~below:(Ir.Imm 200)
+             (fun i ->
+               let x = Builder.add b (Ir.Reg i) (Ir.Imm salt) in
+               let h = Builder.libcall b Ir.Lc_hash [ Ir.Reg x ] in
+               let k = Builder.band b (Ir.Reg h) (Ir.Imm 15) in
+               let slot =
+                 Builder.add b (Ir.Imm hist.Memory.Layout.base) (Ir.Reg k)
+               in
+               let hv = Builder.load b ~an:an_h (Ir.Reg slot) in
+               let hv1 = Builder.add b (Ir.Reg hv) (Ir.Imm 1) in
+               Builder.store b ~an:an_h (Ir.Reg slot) (Ir.Reg hv1)))
+      in
+      pass 0;
+      pass 1000;
+      let v = Builder.load b ~an:an_h (Ir.Imm hist.Memory.Layout.base) in
+      Ir.Reg v)
+
+let conventional_cfg ?(robust = Executor.no_robustness) () =
+  Executor.default_config ~ring:false ~comm:Executor.fully_coupled ~robust
+    Mach_config.default
+
+let wait_protocol_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_wait_loop_matches_reference;
+    tc "signal log grows and answers the nth-oldest store cycle" (fun () ->
+        let log = Signal_log.create ~origins:4 in
+        let cycle k = (3 * k) + (k mod 5) in
+        for k = 1 to 1000 do
+          Signal_log.record log ~seg:2 ~origin:3 ~cycle:(cycle k)
+        done;
+        Signal_log.record log ~seg:0 ~origin:1 ~cycle:5;
+        check Alcotest.int "count" 1000 (Signal_log.count log ~seg:2 ~origin:3);
+        for k = 1 to 1000 do
+          check Alcotest.int (Fmt.str "nth %d" k) (cycle k)
+            (Signal_log.nth log ~seg:2 ~origin:3 k)
+        done;
+        check Alcotest.int "other pair" 1 (Signal_log.count log ~seg:0 ~origin:1);
+        check Alcotest.int "untouched pair" 0
+          (Signal_log.count log ~seg:7 ~origin:2);
+        Alcotest.check_raises "past the count"
+          (Invalid_argument "Signal_log.nth") (fun () ->
+            ignore (Signal_log.nth log ~seg:2 ~origin:3 1001));
+        Alcotest.check_raises "origin out of range"
+          (Invalid_argument "Signal_log: origin out of range") (fun () ->
+            Signal_log.record log ~seg:0 ~origin:4 ~cycle:0);
+        Signal_log.reset log;
+        check Alcotest.int "reset count" 0 (Signal_log.count log ~seg:2 ~origin:3);
+        check Alcotest.int "reset other" 0 (Signal_log.count log ~seg:0 ~origin:1);
+        Signal_log.record log ~seg:2 ~origin:3 ~cycle:9;
+        check Alcotest.int "restarts at 1" 1
+          (Signal_log.count log ~seg:2 ~origin:3);
+        check Alcotest.int "oldest is the new one" 9
+          (Signal_log.nth log ~seg:2 ~origin:3 1));
+    tc "conventional mode: each invocation starts from an empty log"
+      (fun () ->
+        let g, _, par =
+          run_scenario
+            ~exec_cfg:(conventional_cfg ~robust:Executor.checked ())
+            s_two_hists
+        in
+        let v = Helix.verify g par in
+        Alcotest.(check bool) v.Helix.detail true v.Helix.ok;
+        Alcotest.(check bool) "two parallel invocations" true
+          (List.length par.Executor.r_invocations >= 2);
+        check Alcotest.int "violations" 0 par.Executor.r_violations;
+        check Alcotest.int "fallbacks" 0 par.Executor.r_fallbacks);
+    tc "conventional mode: fallback repairs doubled signals"
+      (fun () ->
+        let tr = Helix_obs.Trace.create () in
+        let gp, _ = s_two_hists.prog () in
+        let g = Helix.golden_run gp (Memory.create ()) in
+        let compiled = compile_v3 (s_two_hists.prog ()) in
+        double_signals compiled;
+        let cfg =
+          { (conventional_cfg ~robust:Executor.checked ()) with
+            Executor.trace = Some tr }
+        in
+        let par =
+          Executor.run ~compiled cfg compiled.Hcc.cp_prog (Memory.create ())
+        in
+        let v = Helix.verify g par in
+        Alcotest.(check bool) ("repaired: " ^ v.Helix.detail) true v.Helix.ok;
+        check_incident_visible ~name:"conventional doubled signals" par tr);
+  ]
+
 let () =
   Alcotest.run ~and_exit:false "runtime"
     [
@@ -862,6 +1036,7 @@ let () =
       ("fault-recovery", fault_recovery_tests);
       ("depcheck", depcheck_tests);
       ("context", context_tests);
+      ("wait-protocol", wait_protocol_tests);
     ]
 
 (* ---- randomized pipeline property ------------------------------------- *)

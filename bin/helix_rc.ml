@@ -282,25 +282,25 @@ let faults_arg =
   in
   Arg.(value & opt (some fconv) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 
+let engine_conv =
+  let module Engine = Helix_engine.Engine in
+  let names = String.concat "|" (List.map Engine.kind_to_string Engine.all) in
+  Arg.conv
+    ( (fun s ->
+        match Engine.kind_of_string s with
+        | Some k -> Ok k
+        | None -> Error (`Msg (Printf.sprintf "unknown engine %s (%s)" s names))),
+      fun ppf k -> Fmt.string ppf (Engine.kind_to_string k) )
+
 let engine_arg =
   let doc =
     "Simulation engine: $(b,legacy) ticks every cycle, $(b,event) \
-     fast-forwards across provably idle cycle windows by a full \
-     component rescan, $(b,heap) tracks wake-up promises in a min-heap \
-     and batch-executes quiescent serial phases \
-     (HELIX_INTERPRET_AHEAD=0 disables the batching).  Results are \
+     fast-forwards across provably idle cycle windows.  Results are \
      bit-identical; only wall-clock differs.  Defaults to the \
-     HELIX_ENGINE environment variable, or $(b,heap)."
+     HELIX_ENGINE environment variable, or $(b,event)."
   in
-  let econv =
-    Arg.conv
-      ( (fun s ->
-          match Helix_engine.Engine.kind_of_string s with
-          | Some k -> Ok k
-          | None -> Error (`Msg ("unknown engine " ^ s ^ " (legacy|event|heap)"))),
-        fun ppf k -> Fmt.string ppf (Helix_engine.Engine.kind_to_string k) )
-  in
-  Arg.(value & opt (some econv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  Arg.(
+    value & opt (some engine_conv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 (* HELIX-RC run honouring --trace/--check/--strict/--jitter/--faults/
    --engine: any of them bypasses the memo cache (the cached result has
@@ -491,19 +491,12 @@ let chaos_cmd =
   in
   let engine_filter_arg =
     let doc =
-      "Restrict the sweep to one engine (legacy, event or heap); default \
-       is all three."
+      "Restrict the sweep to one engine (legacy or event); default is \
+       both."
     in
-    let econv =
-      Arg.conv
-        ( (fun s ->
-            match Helix_engine.Engine.kind_of_string s with
-            | Some k -> Ok k
-            | None ->
-                Error (`Msg ("unknown engine " ^ s ^ " (legacy|event|heap)"))),
-          fun ppf k -> Fmt.string ppf (Helix_engine.Engine.kind_to_string k) )
-    in
-    Arg.(value & opt (some econv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
+    Arg.(
+      value & opt (some engine_conv) None
+      & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let workload_filter_arg =
     let doc = "Restrict the sweep to one workload; default is the registry." in
@@ -520,7 +513,7 @@ let chaos_cmd =
           let engines =
             match engine with
             | Some e -> [ e ]
-            | None -> Chaos.default_engines
+            | None -> Helix_engine.Engine.all
           in
           let workloads =
             match workload with

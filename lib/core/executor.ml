@@ -72,14 +72,13 @@ type config = {
   engine : Engine.kind;
 }
 
-(* The heap engine is the default: its results are bit-identical to
-   the legacy per-cycle loop (asserted by the differential test suite
-   for all three kinds), it just elides the most dead cycles.
-   HELIX_ENGINE=legacy|event flips every run back for A/B comparison
-   without touching call sites. *)
+(* The event engine is the default: its results are bit-identical to
+   the legacy per-cycle loop (asserted by the differential test suite),
+   it just elides dead cycles.  HELIX_ENGINE=legacy flips every run back
+   for A/B comparison without touching call sites. *)
 let default_engine =
-  Helix_obs.Env.get "HELIX_ENGINE" ~accepted:"legacy, event or heap"
-    ~default:Engine.Heap (fun s ->
+  Helix_obs.Env.get "HELIX_ENGINE" ~accepted:"legacy or event"
+    ~default:Engine.Event (fun s ->
       Engine.kind_of_string (String.lowercase_ascii s))
 
 let default_config ?(ring = true) ?(comm = fully_decoupled) ?trace
@@ -215,12 +214,6 @@ type t = {
   mutable extra_stats : Stats.t list; (* stats of cores discarded by fallback *)
   mutable fallbacks : int;
   mutable violations : int;
-  (* heap-engine plumbing: poke the ring component's wake-up when a core
-     injects a message (its cached promise may be "drained"), and flag
-     any shared-world operation so serial-phase interpret-ahead stops
-     the moment the batch is no longer provably ring-silent *)
-  mutable wake_ring : at:int -> unit;
-  mutable shared_poke : bool;
   (* fail-stop state.  The compiled code bakes the lane count into the
      iteration space: per-core privatization slots are [iter mod n]
      (reduction partials, last-value stamps), so a reknit must keep the
@@ -351,7 +344,6 @@ let wait_targets t ~core ~seg ~local_iter =
   List.rev !acc
 
 let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
-  t.shared_poke <- true;
   let c2c = t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency in
   (* the uop's stamped iteration, NOT the worker's current counter: an
      out-of-order window may still hold a previous iteration's wait after
@@ -397,8 +389,6 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
             if Ring.try_signal ring ~node:core ~seg ~cycle then begin
               t.max_outstanding <-
                 max t.max_outstanding (Ring.max_outstanding_signals ring);
-              (* the ring may have promised "drained"; re-poll it *)
-              t.wake_ring ~at:(cycle + 1);
               Uop.Sh_done { latency = 1; value = 0 }
             end
             else Uop.Sh_retry
@@ -434,10 +424,8 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
       if route_via_ring t addr then begin
         match t.ring with
         | Some ring ->
-            if Ring.try_store ring ~node:core ~addr ~value:v ~cycle then begin
-              t.wake_ring ~at:(cycle + 1);
+            if Ring.try_store ring ~node:core ~addr ~value:v ~cycle then
               Uop.Sh_done { latency = 1; value = 0 }
-            end
             else Uop.Sh_retry
         | None -> assert false
       end
@@ -987,8 +975,6 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       extra_stats = [];
       fallbacks = 0;
       violations = 0;
-      wake_ring = (fun ~at:_ -> ());
-      shared_poke = false;
       alive = Array.make n true;
       owned = Array.init n (fun c -> [ c ]);
       n_active = n;
@@ -1421,8 +1407,6 @@ let components t =
       (* the fuel check must run at cycle fuel+1: cap every skip there *)
       cp_next_event = (fun ~now -> Some (max now (t.cfg.fuel + 1)));
       cp_skip = noop_skip;
-      (* the promise is a constant: never re-poll *)
-      cp_changed = (fun () -> false);
     }
   in
   let ring =
@@ -1435,8 +1419,6 @@ let components t =
             cp_tick = (fun ~cycle -> Ring.tick r ~cycle);
             cp_next_event = (fun ~now -> Ring.next_event r ~now);
             cp_skip = noop_skip;
-            (* injections by cores are covered by [wake_ring] pokes *)
-            cp_changed = (fun () -> Ring.tick_changed r);
           };
         ]
   in
@@ -1447,7 +1429,6 @@ let components t =
       cp_tick = (fun ~cycle -> Core.tick t.cores.(i) cycle);
       cp_next_event = (fun ~now -> Core.next_event t.cores.(i) ~now);
       cp_skip = (fun ~now ~cycles -> Core.skip t.cores.(i) ~now ~cycles);
-      cp_changed = (fun () -> Core.changed t.cores.(i));
     }
   in
   let hier =
@@ -1462,78 +1443,16 @@ let components t =
       cp_tick = (fun ~cycle -> sched_tick t ~cycle);
       cp_next_event = (fun ~now -> sched_next_event t ~now);
       cp_skip = (fun ~now ~cycles -> sched_skip t ~now ~cycles);
-      (* the scheduler is poked from everywhere (worker iteration
-         completions, conventional signal records, phase machinery) and
-         its promise is cheap: always re-poll *)
-      cp_changed = (fun () -> true);
     }
   in
   (governor :: ring) @ List.init t.n core @ [ hier; sched ]
-
-(* ---- serial-phase interpret-ahead (heap engine) -------------------- *)
-
-let interpret_ahead_enabled =
-  match Sys.getenv_opt "HELIX_INTERPRET_AHEAD" with
-  | Some ("0" | "off" | "false") -> false
-  | _ -> true
-
-(* Batch hook registered for core 0: called by the heap engine when core
-   0 is the only runnable component and every other component is
-   provably idle until [now + limit].  Runs the serial core and the
-   scheduler cycle-by-cycle -- exactly the ticks the legacy loop would
-   perform, since ring/governor/hierarchy ticks are no-ops while the
-   ring is drained and the fuel bound (part of [limit]) is not reached
-   -- and charges the idle workers' stall buckets in closed form
-   afterwards.  Stops as soon as the equivalence argument no longer
-   holds: a shared-world operation (could inject into the ring), a
-   phase transition, [done_], or core 0 no longer provably active. *)
-let serial_batch t ~now ~limit =
-  match t.phase with
-  | Parallel _ -> 0
-  | Serial ->
-      if
-        t.done_
-        || (match t.ring with Some r -> not (Ring.drained r) | None -> false)
-      then 0
-      else begin
-        let k = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !k < limit do
-          let cycle = now + !k in
-          (* any [!(t.now)] reader inside the ticks must observe the
-             batched cycle, exactly as in the per-cycle loop *)
-          t.now := cycle;
-          t.shared_poke <- false;
-          Core.tick t.cores.(0) cycle;
-          sched_tick t ~cycle;
-          incr k;
-          if
-            t.done_ || t.shared_poke
-            || (match t.phase with Serial -> false | Parallel _ -> true)
-            || Core.next_event t.cores.(0) ~now:(cycle + 1)
-               <> Some (cycle + 1)
-          then stop := true
-        done;
-        if !k > 0 then
-          for i = 1 to t.n - 1 do
-            Core.skip t.cores.(i) ~now ~cycles:!k
-          done;
-        !k
-      end
 
 let run ?compiled (cfg : config) (prog : Ir.program) (mem : Memory.t) : result
     =
   let t = create ?compiled cfg prog mem in
   Context.start t.serial_ctx prog.Ir.p_main [];
   let eng = Engine.create ~kind:cfg.engine ~clock:t.now () in
-  List.iter
-    (fun (c : Engine.component) ->
-      let id = Engine.register eng c in
-      if c.Engine.cp_name = "ring" then
-        t.wake_ring <- (fun ~at -> Engine.wake eng ~id ~at)
-      else if c.Engine.cp_name = "core.0" && interpret_ahead_enabled then
-        Engine.set_batch eng ~id (fun ~now ~limit -> serial_batch t ~now ~limit))
-    (components t);
+  List.iter (Engine.register eng) (components t);
   while not t.done_ do
     Engine.step eng
   done;
@@ -1566,20 +1485,14 @@ let run ?compiled (cfg : config) (prog : Ir.program) (mem : Memory.t) : result
     (* engine-specific counters: excluded from cross-engine metric
        comparisons (everything else must be bit-identical) *)
     Metrics.set_int m "engine.kind"
-      (match Engine.kind eng with
-      | Engine.Legacy -> 0
-      | Engine.Event -> 1
-      | Engine.Heap -> 2);
+      (match Engine.kind eng with Engine.Legacy -> 0 | Engine.Event -> 1);
     Metrics.set_int m "engine.steps" (Engine.steps eng);
     Metrics.set_int m "engine.fast_forwards" (Engine.fast_forwards eng);
     Metrics.set_int m "engine.skipped_cycles" (Engine.skipped_cycles eng);
-    Metrics.set_int m "engine.batched_cycles" (Engine.batched_cycles eng);
-    Metrics.set_int m "engine.batches" (Engine.batches eng);
-    Metrics.set_int m "engine.heap_pushes" (Engine.heap_pushes eng);
     (* skip effectiveness: fraction of simulated cycles not paid for
-       with a full tick round (fast-forwarded or batch-executed) *)
+       with a tick round *)
     Metrics.set_float m "engine.skip_ratio"
-      (float_of_int (Engine.skipped_cycles eng + Engine.batched_cycles eng)
+      (float_of_int (Engine.skipped_cycles eng)
       /. float_of_int (max 1 !(t.now)));
     m
   in

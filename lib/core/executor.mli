@@ -63,18 +63,15 @@ type config = {
   trace : Helix_obs.Trace.t option;  (** event trace sink, off by default *)
   robust : robustness;
   engine : Helix_engine.Engine.kind;
-      (** [Heap] (the default) fast-forwards over provably dead cycle
-          windows using per-component wake-up promises cached in a
-          min-heap, and batch-executes serial phases when the ring is
-          quiescent ([HELIX_INTERPRET_AHEAD=0] disables the batching);
-          [Event] recomputes the windows by a full component rescan
-          every round; results of both are bit-identical to [Legacy],
-          which ticks every cycle.  Overridable via
-          [HELIX_ENGINE=legacy|event|heap]. *)
+      (** [Event] (the default) fast-forwards over provably dead cycle
+          windows, found by asking every component for its next event
+          after each tick round; its results are bit-identical to
+          [Legacy], which ticks every cycle.  Overridable via
+          [HELIX_ENGINE=legacy|event]. *)
 }
 
 val default_engine : Helix_engine.Engine.kind
-(** [Heap], unless the [HELIX_ENGINE] environment variable says
+(** [Event], unless the [HELIX_ENGINE] environment variable says
     otherwise. *)
 
 val default_config :

@@ -12,28 +12,16 @@
     cycles ({!component.cp_skip}: stall-bucket charging, phase counters,
     watchdog bookkeeping).
 
-    [Heap] mode computes the same windows without the per-round rescan:
-    each component's promise is cached and mirrored into a min-heap of
-    (cycle, id) wake-ups ({!Wake_heap}), and after a tick round only
-    components that were active last round or whose tick just changed
-    state ({!component.cp_changed}) are re-polled.  Promises that move
-    {e later} leave stale heap entries behind, which are dropped lazily
-    at pop time; promises that move {e earlier} can only result from a
-    state change, which the re-poll protocol observes either through
-    [cp_changed] or through an explicit {!wake} call from the owner
-    (e.g. the executor poking the ring's component when a core injects a
-    message).  [Heap] mode additionally supports an owner-registered
-    batch hook ({!set_batch}): when exactly one component is runnable
-    and it is the hook's owner, the engine hands it the whole dead
-    window to burn inline (serial-phase interpret-ahead).
-
-    The contract that makes [Event] and [Heap] bit-identical to [Legacy]
-    is: if every registered component returns [Some w_i] (or [None])
-    with [min w_i > now], then ticking every component at each cycle of
+    The contract that makes [Event] bit-identical to [Legacy] is: if
+    every registered component returns [Some w_i] (or [None]) with
+    [min w_i > now], then ticking every component at each cycle of
     [now .. min w_i - 1] is a no-op except for per-cycle statistics
     charging -- which [cp_skip] must perform in closed form. *)
 
-type kind = Legacy | Event | Heap
+type kind = Legacy | Event
+
+val all : kind list
+(** Every kind this build defines, in a stable order. *)
 
 val kind_of_string : string -> kind option
 val kind_to_string : kind -> string
@@ -55,14 +43,6 @@ type component = {
           window [now .. now + cycles - 1] was never ticked).  Charge
           whatever per-cycle accounting the skipped ticks would have
           performed. *)
-  cp_changed : unit -> bool;
-      (** [Heap] mode only: did the last tick round (including probes by
-          later-ticking components) change this component's state in a
-          way that could move its earliest event?  A [true] forces a
-          re-poll of [cp_next_event]; spurious [true]s cost a probe,
-          false [false]s break the window proof.  Components whose
-          promise is cheap to compute may simply return [true]
-          always. *)
 }
 
 (** Convenience for purely passive components (e.g. the memory
@@ -75,28 +55,13 @@ val create : kind:kind -> clock:int ref -> unit -> t
 (** The engine shares [clock] with its owner; [Engine.step] is the only
     writer while the engine runs. *)
 
-val register : t -> component -> int
-(** Returns the component's id, usable with {!wake} and {!set_batch}. *)
-
-val wake : t -> id:int -> at:int -> unit
-(** Reschedule: promise that component [id] may act as early as cycle
-    [at] (earlier than its cached promise).  Conservative-early values
-    are sound -- the component is simply re-polled at [at].  Ignored
-    outside [Heap] mode. *)
-
-val set_batch : t -> id:int -> (now:int -> limit:int -> int) -> unit
-(** Register a batch hook owned by component [id].  In [Heap] mode, when
-    [id] is the only runnable component, the engine calls
-    [hook ~now ~limit] with [limit] = the number of cycles before the
-    earliest other wake-up; the hook may tick its owner (and any
-    bookkeeping that must run every cycle) for up to [limit] cycles
-    inline, charge every other component in closed form, and return the
-    number of cycles consumed (0 declines). *)
+val register : t -> component -> unit
+(** Append a component; it is ticked after every earlier one. *)
 
 val step : t -> unit
 (** Tick every component at the current clock value, advance the clock
-    by one, then (in [Event]/[Heap] mode) fast-forward over any provably
-    dead window. *)
+    by one, then (in [Event] mode) fast-forward over any provably dead
+    window. *)
 
 val kind : t -> kind
 
@@ -108,12 +73,3 @@ val fast_forwards : t -> int
 
 val skipped_cycles : t -> int
 (** Total cycles elided by jumps. *)
-
-val batched_cycles : t -> int
-(** Cycles executed inline by the batch hook ([Heap] mode). *)
-
-val batches : t -> int
-(** Number of batch-hook invocations that consumed cycles. *)
-
-val heap_pushes : t -> int
-(** Total wake-heap entries pushed ([Heap] mode instrumentation). *)

@@ -1,5 +1,5 @@
 (* Chaos harness: registry workloads under seeded lossy-ring fault
-   schedules, across all three simulation engines, every run checked
+   schedules, across both simulation engines, every run checked
    against the differential oracle.
 
    A schedule is derived purely from its integer seed: the four
@@ -137,8 +137,6 @@ type summary = {
   s_failures : run_result list;  (* mismatches and unexpected deaths *)
 }
 
-let default_engines = [ Engine.Legacy; Engine.Event; Engine.Heap ]
-
 let summarize (runs : run_result list) : summary =
   List.fold_left
     (fun s r ->
@@ -168,7 +166,7 @@ let summarize (runs : run_result list) : summary =
    round-robin over [workloads]; each (seed, workload) pair runs once
    per engine.  Returns every run in deterministic (seed, engine)
    order regardless of pool parallelism. *)
-let sweep ?(schedules = 200) ?(engines = default_engines)
+let sweep ?(schedules = 200) ?(engines = Engine.all)
     ?(workloads = Registry.all) ?(seed_base = 0)
     ?(watchdog = default_watchdog) () : run_result list =
   if workloads = [] then invalid_arg "Chaos.sweep: empty workload list";

@@ -32,15 +32,32 @@ let rate_of json engine =
   | Some side ->
       Option.bind (Json.member "cycles_per_sec" side) Json.to_float_opt
 
-(* Engines present in both files are compared; an engine only present in
-   one side is a note (the set legitimately grows when a new engine
-   lands, and the very first run after that has no baseline for it). *)
-let compare_engine ?(threshold = 0.10) ~old_json ~new_json () :
-    finding list =
+(* The engines the build defines, by name. *)
+let build_engines =
+  List.map Helix_engine.Engine.kind_to_string Helix_engine.Engine.all
+
+(* Each of [engines] is compared.  One with no baseline is a note (the
+   first run after a new engine lands has none); one missing from the
+   current run is a failure.  An engine only the previous run has, and
+   that is not in [engines], was removed from the build on purpose: a
+   note, so the gate keeps passing after the removal. *)
+let compare_engine ?(threshold = 0.10) ?(engines = build_engines) ~old_json
+    ~new_json () : finding list =
   match (Json.of_string old_json, Json.of_string new_json) with
   | Error e, _ -> [ fail "previous BENCH_engine.json unreadable: %s" e ]
   | _, Error e -> [ fail "current BENCH_engine.json unreadable: %s" e ]
   | Ok old_j, Ok new_j ->
+      let removed =
+        match old_j with
+        | Json.Obj kvs ->
+            List.filter_map
+              (fun (engine, _) ->
+                if List.mem engine engines || rate_of old_j engine = None then
+                  None
+                else Some (note "%s engine removed from the build" engine))
+              kvs
+        | _ -> []
+      in
       List.concat_map
         (fun engine ->
           match (rate_of old_j engine, rate_of new_j engine) with
@@ -63,7 +80,8 @@ let compare_engine ?(threshold = 0.10) ~old_json ~new_json () :
           | Some _, None ->
               [ fail "%s engine disappeared from BENCH_engine.json" engine ]
           | None, None -> [])
-        [ "legacy"; "event"; "heap" ]
+        engines
+      @ removed
 
 (* ---- figure shape ---------------------------------------------------- *)
 

@@ -28,10 +28,6 @@ let quiescent = function
   | In_order c -> Core_inorder.quiescent c
   | Out_of_order c -> Core_ooo.quiescent c
 
-let changed = function
-  | In_order c -> Core_inorder.changed c
-  | Out_of_order c -> Core_ooo.changed c
-
 let stats = function
   | In_order c -> Core_inorder.stats c
   | Out_of_order c -> Core_ooo.stats c

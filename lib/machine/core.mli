@@ -26,11 +26,5 @@ val skip : t -> now:int -> cycles:int -> unit
 val quiescent : t -> bool
 (** Nothing in flight and the supply currently yields no work. *)
 
-val changed : t -> bool
-(** Heap-engine re-poll hint: did the last tick (or a subsequent
-    {!quiescent} probe) change core state in a way that could move its
-    earliest event earlier?  [false] guarantees the last {!next_event}
-    promise still stands. *)
-
 val stats : t -> Stats.t
 val describe : t -> string

@@ -24,8 +24,6 @@ type t = {
   mutable ne_retry : bool;         (* that attempt ended in Sh_retry *)
   mutable ne_idle_ticks : int;     (* consecutive ticks ending in a
                                       fruitless supply pull *)
-  mutable ne_changed : bool;       (* last tick (or quiescence probe)
-                                      changed state: issued or fetched *)
 }
 
 let trace_core =
@@ -61,7 +59,6 @@ let create ?retired_sink cfg supply =
     ne_attempt = min_int;
     ne_retry = false;
     ne_idle_ticks = 0;
-    ne_changed = false;
   }
 
 let ready t r = try Hashtbl.find t.reg_ready r with Not_found -> 0
@@ -168,7 +165,6 @@ let tick t cycle =
           t.mem_busy_until
     | None -> ());
   let issued = ref 0 in
-  let fetched = ref false in
   let only_sync = ref true in
   let stall = ref None in
   let continue_ = ref true in
@@ -179,7 +175,6 @@ let tick t cycle =
       | None ->
           let u = t.supply.Core_model.sup_next () in
           t.pending <- u;
-          if u <> None then fetched := true;
           u
     in
     match next with
@@ -213,10 +208,6 @@ let tick t cycle =
      if t.supply.Core_model.sup_settled () then t.ne_idle_ticks <- 2
      else t.ne_idle_ticks <- (if !issued > 0 then 1 else t.ne_idle_ticks + 1)
    else t.ne_idle_ticks <- 0);
-  (* Heap-engine re-poll hint: issuing or fetching is the only way a
-     tick can move this core's earliest event earlier (stall deadlines
-     are only ever written by successful issues). *)
-  t.ne_changed <- !issued > 0 || !fetched;
   Stats.charge t.stats bucket
 
 (* ---- event-engine interface ------------------------------------------ *)
@@ -290,10 +281,7 @@ let quiescent t =
       | None -> true
       | Some u ->
           t.pending <- Some u;
-          t.ne_changed <- true;
           false)
-
-let changed t = t.ne_changed
 
 let stats t = t.stats
 

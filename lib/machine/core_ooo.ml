@@ -319,11 +319,6 @@ let next_event t ~now =
 
 let skip t ~now:_ ~cycles = Stats.charge_n t.stats (stall_bucket t) cycles
 
-(* Heap-engine re-poll hint: without commit/issue/dispatch (or a
-   quiescence-probe dispatch), a tick only advances the idle-tick
-   counter, which can never move the earliest event earlier. *)
-let changed t = t.ne_progress || t.ne_poked
-
 let quiescent t =
   t.window = []
   &&

@@ -301,7 +301,6 @@ type t = {
      cycle. *)
   mutable inflight_data : int;
   mutable inflight_sig : int;
-  mutable tick_did_work : bool;
   faults_on : bool;  (* cached cfg.faults <> None: one branch on hot paths *)
   mutable retransmits : int;        (* messages resent on timer expiry *)
   mutable drops_detected : int;     (* hop gaps seen by receivers *)
@@ -353,7 +352,6 @@ let create ?trace (cfg : config) (env : env) : t =
     messages_retired = 0;
     inflight_data = 0;
     inflight_sig = 0;
-    tick_did_work = false;
     faults_on = cfg.faults <> None;
     retransmits = 0;
     drops_detected = 0;
@@ -600,7 +598,6 @@ let faulty_put t (msg : Msg.t) i ~cycle =
       let wire = wire_of_msg msg in
       let fired fclass =
         t.faults_injected <- t.faults_injected + 1;
-        t.tick_did_work <- true;
         Helix_obs.Trace.fault t.trace ~cycle ~fclass ~link:i ~wire ~hop
       in
       if roll < p.fl_drop then fired "drop" (* nothing reaches the wire *)
@@ -674,7 +671,6 @@ let process_acks t (hs : hop_state) ~cycle =
     else continue_ := false
   done;
   if !progressed then begin
-    t.tick_did_work <- true;
     while
       (not (Queue.is_empty hs.hs_rtx))
       && (Queue.peek hs.hs_rtx).Msg.hop <= hs.hs_acked
@@ -706,13 +702,11 @@ let check_retransmit t (n : node) (hs : hop_state) ~wire ~cycle =
     hs.hs_attempt <- hs.hs_attempt + 1;
     hs.hs_deadline <-
       cycle + (rtx_base t lsl min hs.hs_attempt max_backoff_shift);
-    t.tick_did_work <- true;
     Helix_obs.Trace.retransmit t.trace ~cycle ~node:n.id ~wire ~count
       ~attempt:hs.hs_attempt
   end
 
 let tick t ~cycle =
-  t.tick_did_work <- false;
   (* 1. deliver arrived link messages into input buffers.  With a fault
      plan active the receiver validates each copy first: a checksum
      failure (corruption), a hop gap (loss -- go-back-N keeps expecting
@@ -732,12 +726,8 @@ let tick t ~cycle =
           let arrival, _ = Queue.peek link in
           if arrival <= cycle then begin
             let _, msg = Queue.pop link in
-            if not t.faults_on then begin
-              Queue.add msg (in_of dst);
-              t.tick_did_work <- true
-            end
+            if not t.faults_on then Queue.add msg (in_of dst)
             else begin
-              t.tick_did_work <- true;
               let rhs = hs_of dst in
               if not (Msg.valid msg) then
                 t.corrupts_detected <- t.corrupts_detected + 1
@@ -798,7 +788,6 @@ let tick t ~cycle =
         let msg = Queue.pop in_q in
         let keep = apply_at t n msg in
         decr budget;
-        t.tick_did_work <- true;
         if keep then begin
           send t msg n.id ~cycle;
           n.forwarded <- n.forwarded + 1;
@@ -821,7 +810,6 @@ let tick t ~cycle =
         else begin
           ignore (Queue.pop inject_q);
           decr budget;
-          t.tick_did_work <- true;
           if t.cfg.n_nodes > 1 then send t msg n.id ~cycle
           else begin
             (* degenerate single-node ring: the message retires at its
@@ -859,7 +847,6 @@ let tick t ~cycle =
       else begin
         let msg = Queue.pop in_q in
         decr budget;
-        t.tick_did_work <- true;
         if travels_on then begin
           send t msg n.id ~cycle;
           n.forwarded <- n.forwarded + 1
@@ -914,7 +901,6 @@ let kill_node t ~node ~cycle =
     t.inflight_sig <- t.inflight_sig - lost_s;
     t.reknits <- t.reknits + 1;
     t.faults_injected <- t.faults_injected + 1;
-    t.tick_did_work <- true;
     Helix_obs.Trace.fault t.trace ~cycle ~fclass:"fail_stop" ~link:node
       ~wire:"core" ~hop:(-1);
     Helix_obs.Trace.reknit t.trace ~cycle ~node ~lost_data:lost_d
@@ -1023,10 +1009,6 @@ let next_event t ~now =
 (* Is any message still in flight (links, input buffers, injections)?
    O(1) via the inflight roll-up. *)
 let drained t = t.inflight_data = 0 && t.inflight_sig = 0
-
-(* Did the last [tick] move or retire any message?  The heap engine uses
-   this to decide whether the ring must be re-polled. *)
-let tick_changed t = t.tick_did_work
 
 (* -- end-of-loop flush ----------------------------------------------- *)
 

@@ -157,12 +157,6 @@ val next_event : t -> now:int -> int option
     flight), so recovery timers participate in idle-cycle skipping
     instead of requiring per-cycle polling. *)
 
-val tick_changed : t -> bool
-(** Did the last {!tick} move or retire any message?  Used by the heap
-    engine's re-poll protocol; a [false] guarantees the promise returned
-    by the previous {!next_event} still stands (absent new
-    injections). *)
-
 val drained : t -> bool
 (** No message in flight anywhere.  O(1): maintained incrementally from
     injection acceptance to retirement. *)

@@ -2,8 +2,8 @@ open Helix_machine
 open Helix_core
 open Helix_workloads
 
-(* Differential test: the event and heap engines must be bit-identical
-   to the legacy per-cycle engine on every registry workload, in every
+(* Differential test: the event engine must be bit-identical to the
+   legacy per-cycle engine on every registry workload, in every
    communication mode, with and without ring fault-injection jitter.
    "Bit-identical" means: return value, total and per-core cycle
    accounting, retirement counts, the final memory image, invocation
@@ -104,7 +104,7 @@ let check_identical (l : Executor.result) (e : Executor.result) =
   check_metrics_equal l.Executor.r_metrics e.Executor.r_metrics
 
 (* [check_identical] plus: the fast side really ran the engine kind the
-   test asked for (0 = legacy, 1 = event, 2 = heap). *)
+   test asked for (0 = legacy, 1 = event). *)
 let check_identical_kind ~kind (l : Executor.result) (e : Executor.result) =
   check_identical l e;
   match Helix_obs.Metrics.find_int e.Executor.r_metrics "engine.kind" with
@@ -150,9 +150,7 @@ let differential_tests =
             (fun () ->
               let l = run_with ~engine:Engine.Legacy ~cfg wl in
               let e = run_with ~engine:Engine.Event ~cfg wl in
-              let h = run_with ~engine:Engine.Heap ~cfg wl in
-              check_identical_kind ~kind:1 l e;
-              check_identical_kind ~kind:2 l h))
+              check_identical_kind ~kind:1 l e))
         configs)
     Registry.all
 
@@ -176,9 +174,7 @@ let ooo_tests =
               in
               let l = run_with ~engine:Engine.Legacy ~cfg wl in
               let e = run_with ~engine:Engine.Event ~cfg wl in
-              let h = run_with ~engine:Engine.Heap ~cfg wl in
-              check_identical_kind ~kind:1 l e;
-              check_identical_kind ~kind:2 l h))
+              check_identical_kind ~kind:1 l e))
         [ "164.gzip"; "197.parser" ])
     [ Mach_config.ooo2_core; Mach_config.ooo4_core ]
 
@@ -208,18 +204,13 @@ let fuel_test =
       in
       let rl, sl = stuck_of ~engine:Engine.Legacy ~cfg (gzip ()) in
       let re, se = stuck_of ~engine:Engine.Event ~cfg (gzip ()) in
-      let rh, sh = stuck_of ~engine:Engine.Heap ~cfg (gzip ()) in
       check Alcotest.string "reason"
         (Executor.stuck_reason_name rl)
         (Executor.stuck_reason_name re);
-      check Alcotest.string "reason (heap)"
-        (Executor.stuck_reason_name rl)
-        (Executor.stuck_reason_name rh);
       check Alcotest.string "reason is fuel"
         (Executor.stuck_reason_name Executor.Fuel)
         (Executor.stuck_reason_name rl);
-      check Alcotest.string "identical stuck report" sl se;
-      check Alcotest.string "identical stuck report (heap)" sl sh)
+      check Alcotest.string "identical stuck report" sl se)
 
 let watchdog_test =
   tc "watchdog wedges at the same cycle" (fun () ->
@@ -236,25 +227,20 @@ let watchdog_test =
       in
       let rl, sl = stuck_of ~engine:Engine.Legacy ~cfg (gzip ()) in
       let re, se = stuck_of ~engine:Engine.Event ~cfg (gzip ()) in
-      let rh, sh = stuck_of ~engine:Engine.Heap ~cfg (gzip ()) in
       check Alcotest.string "reason"
         (Executor.stuck_reason_name rl)
         (Executor.stuck_reason_name re);
-      check Alcotest.string "reason (heap)"
-        (Executor.stuck_reason_name rl)
-        (Executor.stuck_reason_name rh);
       check Alcotest.string "reason is deadlock"
         (Executor.stuck_reason_name Executor.Deadlock)
         (Executor.stuck_reason_name rl);
-      check Alcotest.string "identical stuck report" sl se;
-      check Alcotest.string "identical stuck report (heap)" sl sh)
+      check Alcotest.string "identical stuck report" sl se)
 
 (* ---- synthetic components: the engine protocol in isolation ---------- *)
 
-(* Scripted components with exact wake-up promises, run under all three
+(* Scripted components with exact wake-up promises, run under both
    engine kinds.  The observable is a log of (component, cycle) firings:
-   it must be identical whether the engine ticks every cycle (legacy),
-   rescans (event) or trusts cached promises in the heap. *)
+   it must be identical whether the engine ticks every cycle (legacy) or
+   fast-forwards on the promises (event). *)
 
 (* Fires exactly at the cycles in [fires] (sorted), promising the next
    one. *)
@@ -273,9 +259,6 @@ let pulse ~name ~(log : Buffer.t) fires =
       (fun ~now ->
         match !remaining with [] -> None | c :: _ -> Some (max c now));
     cp_skip = (fun ~now:_ ~cycles:_ -> ());
-    (* after a firing the component was active (hot), so the engine
-       re-polls it anyway; promises otherwise only move later *)
-    cp_changed = (fun () -> false);
   }
 
 let run_pulses ?(horizon = 400) kind schedules =
@@ -284,7 +267,7 @@ let run_pulses ?(horizon = 400) kind schedules =
   let log = Buffer.create 256 in
   List.iteri
     (fun i fires ->
-      ignore (Engine.register eng (pulse ~name:(string_of_int i) ~log fires)))
+      Engine.register eng (pulse ~name:(string_of_int i) ~log fires))
     schedules;
   while !clock < horizon do
     Engine.step eng
@@ -297,117 +280,43 @@ let synthetic_tests =
         let schedules = [ [ 0; 7; 14; 200 ]; [ 3; 50; 51; 120 ]; [ 44 ] ] in
         let ll, ls = run_pulses Engine.Legacy schedules in
         let el, es = run_pulses Engine.Event schedules in
-        let hl, hs = run_pulses Engine.Heap schedules in
         check Alcotest.string "event log" ll el;
-        check Alcotest.string "heap log" ll hl;
         check Alcotest.int "legacy never skips" 0 ls;
-        check Alcotest.bool "event skipped" true (es > 0);
-        check Alcotest.bool "heap skipped" true (hs > 0));
+        check Alcotest.bool "event skipped" true (es > 0));
     tc "a promise that moves later never loses its firing" (fun () ->
         (* the component promises 100 early on, then (without ever being
-           active, and without signalling cp_changed) revises to 150:
-           the heap's cached entry at 100 is stale.  A stale entry may
-           clamp a window -- cost, never correctness -- and the firing
-           at 150 must still happen in every engine. *)
+           active) revises to 150: the window the engine jumps to at 100
+           is a no-op, and the firing at 150 must still happen in both
+           engines. *)
         let run kind =
           let clock = ref 0 in
           let eng = Engine.create ~kind ~clock () in
           let log = Buffer.create 64 in
           let fired = ref false in
-          ignore
-            (Engine.register eng
-               {
-                 Engine.cp_name = "shifty";
-                 cp_tick =
-                   (fun ~cycle ->
-                     if cycle = 150 && not !fired then begin
-                       Buffer.add_string log "shifty@150;";
-                       fired := true
-                     end);
-                 cp_next_event =
-                   (fun ~now ->
-                     if !fired then None
-                     else if now < 60 then Some 100
-                     else Some 150);
-                 cp_skip = (fun ~now:_ ~cycles:_ -> ());
-                 cp_changed = (fun () -> false);
-               });
-          ignore (Engine.register eng (pulse ~name:"beat" ~log [ 10; 300 ]));
+          Engine.register eng
+            {
+              Engine.cp_name = "shifty";
+              cp_tick =
+                (fun ~cycle ->
+                  if cycle = 150 && not !fired then begin
+                    Buffer.add_string log "shifty@150;";
+                    fired := true
+                  end);
+              cp_next_event =
+                (fun ~now ->
+                  if !fired then None
+                  else if now < 60 then Some 100
+                  else Some 150);
+              cp_skip = (fun ~now:_ ~cycles:_ -> ());
+            };
+          Engine.register eng (pulse ~name:"beat" ~log [ 10; 300 ]);
           while !clock < 350 do
             Engine.step eng
           done;
           Buffer.contents log
         in
         let ll = run Engine.Legacy in
-        check Alcotest.string "event log" ll (run Engine.Event);
-        check Alcotest.string "heap log" ll (run Engine.Heap));
-    tc "Engine.wake reschedules a reactive component" (fun () ->
-        (* S is purely reactive (promise None, cp_changed false): the
-           heap engine would never re-poll it on its own.  W fires at 40
-           and pokes S for cycle 45 through Engine.wake -- exactly the
-           executor's ring-injection path.  S must fire at 45 under
-           every engine. *)
-        let run kind =
-          let clock = ref 0 in
-          let eng = Engine.create ~kind ~clock () in
-          let log = Buffer.create 64 in
-          let poked = ref None in
-          let s_id =
-            Engine.register eng
-              {
-                Engine.cp_name = "S";
-                cp_tick =
-                  (fun ~cycle ->
-                    match !poked with
-                    | Some c when c = cycle ->
-                        Buffer.add_string log
-                          (Printf.sprintf "S@%d;" cycle);
-                        poked := None
-                    | _ -> ());
-                cp_next_event =
-                  (fun ~now ->
-                    match !poked with
-                    | Some c -> Some (max c now)
-                    | None -> None);
-                cp_skip = (fun ~now:_ ~cycles:_ -> ());
-                cp_changed = (fun () -> false);
-              }
-          in
-          let w_fires = ref [ 40 ] in
-          ignore
-            (Engine.register eng
-               {
-                 Engine.cp_name = "W";
-                 cp_tick =
-                   (fun ~cycle ->
-                     match !w_fires with
-                     | c :: rest when c = cycle ->
-                         Buffer.add_string log
-                           (Printf.sprintf "W@%d;" cycle);
-                         poked := Some 45;
-                         Engine.wake eng ~id:s_id ~at:45;
-                         w_fires := rest
-                     | _ -> ());
-                 cp_next_event =
-                   (fun ~now ->
-                     match !w_fires with
-                     | [] -> None
-                     | c :: _ -> Some (max c now));
-                 cp_skip = (fun ~now:_ ~cycles:_ -> ());
-                 cp_changed = (fun () -> false);
-               });
-          ignore (Engine.register eng (pulse ~name:"beat" ~log [ 200 ]));
-          while !clock < 250 do
-            Engine.step eng
-          done;
-          Buffer.contents log
-        in
-        let ll = run Engine.Legacy in
-        check Alcotest.bool "S fired" true
-          (String.length ll > 0
-          && String.index_opt ll 'S' <> None);
-        check Alcotest.string "event log" ll (run Engine.Event);
-        check Alcotest.string "heap log" ll (run Engine.Heap));
+        check Alcotest.string "event log" ll (run Engine.Event));
   ]
 
 (* Randomized pulse schedules: the same identity as above over arbitrary
@@ -425,84 +334,7 @@ let prop_pulse_differential =
       let schedules = List.map (List.sort_uniq compare) [ a; b; c ] in
       let ll, _ = run_pulses ~horizon:310 Engine.Legacy schedules in
       let el, _ = run_pulses ~horizon:310 Engine.Event schedules in
-      let hl, _ = run_pulses ~horizon:310 Engine.Heap schedules in
-      ll = el && ll = hl)
-
-(* ---- the wake heap --------------------------------------------------- *)
-
-module Wake_heap = Helix_engine.Wake_heap
-
-let drain h =
-  let rec go acc =
-    match Wake_heap.peek h with
-    | None -> List.rev acc
-    | Some (c, i) ->
-        Wake_heap.drop h;
-        go ((c, i) :: acc)
-  in
-  go []
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"wake-heap drains in cycle order" ~count:200
-    QCheck.(
-      list_of_size (Gen.int_range 0 200)
-        (pair (int_range 0 10_000) (int_range 0 31)))
-    (fun entries ->
-      let h = Wake_heap.create () in
-      List.iter (fun (c, i) -> Wake_heap.push h ~cycle:c ~id:i) entries;
-      let out = drain h in
-      let cycles = List.map fst out in
-      List.length out = List.length entries
-      && cycles = List.sort compare cycles)
-
-let prop_heap_model =
-  (* interleaved push/drop against a sorted-list model: peek always
-     agrees on the minimum cycle *)
-  QCheck.Test.make ~name:"wake-heap matches a sorted-list model" ~count:200
-    QCheck.(
-      list_of_size (Gen.int_range 0 120)
-        (option (pair (int_range 0 10_000) (int_range 0 31))))
-    (fun ops ->
-      let h = Wake_heap.create () in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Some (c, i) ->
-              Wake_heap.push h ~cycle:c ~id:i;
-              model := List.merge compare [ (c, i) ] !model
-          | None -> (
-              Wake_heap.drop h;
-              match !model with [] -> () | _ :: rest -> model := rest));
-          match (Wake_heap.peek h, !model) with
-          | None, [] -> true
-          | Some (c, _), (mc, _) :: _ -> c = mc
-          | _ -> false)
-        ops)
-
-let heap_unit_tests =
-  [
-    tc "push/peek/drop basics" (fun () ->
-        let h = Wake_heap.create () in
-        check Alcotest.bool "empty" true (Wake_heap.peek h = None);
-        Wake_heap.push h ~cycle:30 ~id:2;
-        Wake_heap.push h ~cycle:10 ~id:1;
-        Wake_heap.push h ~cycle:20 ~id:3;
-        check Alcotest.(option (pair int int)) "min" (Some (10, 1))
-          (Wake_heap.peek h);
-        Wake_heap.drop h;
-        check Alcotest.(option (pair int int)) "next" (Some (20, 3))
-          (Wake_heap.peek h);
-        check Alcotest.int "pushes counted" 3 (Wake_heap.pushes h));
-    tc "duplicate cycles and ids are kept" (fun () ->
-        let h = Wake_heap.create () in
-        Wake_heap.push h ~cycle:5 ~id:0;
-        Wake_heap.push h ~cycle:5 ~id:0;
-        Wake_heap.push h ~cycle:5 ~id:1;
-        check Alcotest.int "size" 3 (Wake_heap.size h));
-    QCheck_alcotest.to_alcotest prop_heap_sorted;
-    QCheck_alcotest.to_alcotest prop_heap_model;
-  ]
+      ll = el)
 
 (* ---- the domain pool -------------------------------------------------- *)
 
@@ -559,6 +391,5 @@ let () =
       ( "synthetic",
         synthetic_tests
         @ [ QCheck_alcotest.to_alcotest prop_pulse_differential ] );
-      ("wake-heap", heap_unit_tests);
       ("pool", pool_tests);
     ]

@@ -328,32 +328,26 @@ module Trend = Helix_experiments.Trend
 
 let trend_fails fs = List.length (Trend.failures fs)
 
-let engine_json ?(heap = true) ~legacy_rate ~event_rate ~heap_rate () =
+let engine_json ?(event = true) ~legacy_rate ~event_rate () =
   let side r =
     Printf.sprintf
       "{\"cycles\": 1000, \"seconds\": 1.0, \"cycles_per_sec\": %f}" r
   in
-  Printf.sprintf "{\"bench\": \"engine-ab\", \"legacy\": %s, \"event\": %s%s}"
-    (side legacy_rate) (side event_rate)
-    (if heap then Printf.sprintf ", \"heap\": %s" (side heap_rate) else "")
+  Printf.sprintf "{\"bench\": \"engine-ab\", \"legacy\": %s%s}"
+    (side legacy_rate)
+    (if event then Printf.sprintf ", \"event\": %s" (side event_rate) else "")
 
 let trend_tests =
   [
     Alcotest.test_case "equal rates pass" `Quick (fun () ->
-        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 () in
+        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         Alcotest.(check int) "no failures" 0
           (trend_fails (Trend.compare_engine ~old_json:j ~new_json:j ())));
     Alcotest.test_case "small drift passes, big regression fails" `Quick
       (fun () ->
-        let old_j =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 ()
-        in
-        let drift =
-          engine_json ~legacy_rate:0.95e6 ~event_rate:1.9e6 ~heap_rate:2.9e6 ()
-        in
-        let regressed =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:2.0e6 ()
-        in
+        let old_j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
+        let drift = engine_json ~legacy_rate:0.95e6 ~event_rate:1.9e6 () in
+        let regressed = engine_json ~legacy_rate:1e6 ~event_rate:1.3e6 () in
         Alcotest.(check int) "5% drift ok" 0
           (trend_fails
              (Trend.compare_engine ~old_json:old_j ~new_json:drift ()));
@@ -368,23 +362,13 @@ let trend_tests =
           > 0));
     Alcotest.test_case "new engine without baseline is not a failure" `Quick
       (fun () ->
-        let old_j =
-          engine_json ~heap:false ~legacy_rate:1e6 ~event_rate:2e6
-            ~heap_rate:0.0 ()
-        in
-        let new_j =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 ()
-        in
+        let old_j = engine_json ~event:false ~legacy_rate:1e6 ~event_rate:0.0 () in
+        let new_j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         Alcotest.(check int) "no failures" 0
           (trend_fails (Trend.compare_engine ~old_json:old_j ~new_json:new_j ())));
     Alcotest.test_case "an engine disappearing is a failure" `Quick (fun () ->
-        let old_j =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 ()
-        in
-        let new_j =
-          engine_json ~heap:false ~legacy_rate:1e6 ~event_rate:2e6
-            ~heap_rate:0.0 ()
-        in
+        let old_j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
+        let new_j = engine_json ~event:false ~legacy_rate:1e6 ~event_rate:0.0 () in
         Alcotest.(check int) "one failure" 1
           (trend_fails (Trend.compare_engine ~old_json:old_j ~new_json:new_j ())));
     Alcotest.test_case "figure value changes pass, shape changes fail" `Quick
@@ -404,7 +388,7 @@ let trend_tests =
              (Trend.compare_figure ~name:"fig1" ~old_json:old_fig
                 ~new_json:reshaped ())));
     Alcotest.test_case "compare_all: missing sides" `Quick (fun () ->
-        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 () in
+        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         (* no baseline at all: notes only *)
         Alcotest.(check int) "first run passes" 0
           (trend_fails
@@ -422,17 +406,40 @@ let trend_tests =
 
 (* ---- environment variables ----------------------------------------- *)
 
-(* Run [helix_rc list] with one variable set; (exit code, stderr). *)
-let run_with_env var value =
+(* Run [cmd] with the variables [env] set; (exit code, stderr). *)
+let run_env cmd env =
   let err = Filename.temp_file "helix_env" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s=%s ../bin/helix_rc.exe list >/dev/null 2>%s" var
-         (Filename.quote value) (Filename.quote err))
+      (Printf.sprintf "%s %s >/dev/null 2>%s"
+         (String.concat " "
+            (List.map (fun (var, v) -> var ^ "=" ^ Filename.quote v) env))
+         cmd (Filename.quote err))
   in
   let msg = In_channel.with_open_text err In_channel.input_all in
   Sys.remove err;
   (code, msg)
+
+let run_with_env var value = run_env "../bin/helix_rc.exe list" [ (var, value) ]
+
+(* The bench harness parses its variables at start-up, so only malformed
+   settings are run here: they stop it before any work.  The first pair
+   is a valid setting that must not be the one the message names. *)
+let bench_env_tests =
+  List.map
+    (fun ((ok_var, ok), (var, bad)) ->
+      tc (Fmt.str "bench %S in %s exits 2" bad var) (fun () ->
+          let code, msg = run_env "../bench/main.exe" [ (ok_var, ok); (var, bad) ] in
+          check Alcotest.int (var ^ " malformed: exit status") 2 code;
+          Alcotest.(check bool) ("message names the variable: " ^ msg) true
+            (contains msg var && contains msg "expected"
+            && not (contains msg ok_var))))
+    [
+      (("HELIX_BENCH_QUICK", "0"), ("HELIX_BENCH_SECTIONS", "figurse"));
+      (("HELIX_BENCH_QUICK", "1"), ("HELIX_BENCH_SECTIONS", "figures,"));
+      (("HELIX_BENCH_SECTIONS", "engine"), ("HELIX_BENCH_QUICK", "yes"));
+      (("HELIX_BENCH_SECTIONS", "figures,micro"), ("HELIX_BENCH_QUICK", "2"));
+    ]
 
 let env_tests =
   tc "parse: unset, accepted and malformed values" (fun () ->
@@ -458,11 +465,13 @@ let env_tests =
              check Alcotest.int (var ^ " valid: exit status " ^ msg) 0 code))
        [
          ("HELIX_ENGINE", "bogus", "event");
+         ("HELIX_ENGINE", "heap", "legacy");
          ("HELIX_BENCH_JOBS", "abc", "2");
          ("HELIX_TRACE_INV", "x", "1");
          ("HELIX_TRACE_CORE", "x", "3");
          ("HELIX_TRACE_WIN", "a-b", "100-200");
        ]
+  @ bench_env_tests
 
 let () =
   Alcotest.run "obs"

@@ -519,27 +519,27 @@ let robustness_tests =
           [ s_hist; s_quadratic; s_conditional ]);
   ]
 
-(* ---- robustness under the event-driven engines -------------------------- *)
+(* ---- robustness under the event engine ---------------------------------- *)
 
-(* The PR-2 fallback machinery was written against the legacy
-   cycle-stepped loop; these pin it under the heap engine specifically
-   (watchdog wedges and sanitizer rollbacks must survive idle-cycle
-   skipping and serial-phase interpret-ahead) and assert engine parity. *)
+(* The fallback machinery was written against the legacy cycle-stepped
+   loop; these pin it under the event engine specifically (watchdog
+   wedges and sanitizer rollbacks must survive idle-cycle skipping) and
+   assert engine parity. *)
 let engine_fallback_tests =
   [
-    tc "stripped waits: sanitizer fallback repairs under the heap engine"
+    tc "stripped waits: sanitizer fallback repairs under the event engine"
       (fun () ->
         let g, par, tr =
-          run_mutilated ~engine:Helix_engine.Engine.Heap
+          run_mutilated ~engine:Helix_engine.Engine.Event
             ~robust:Executor.checked ~mutate:strip_waits s_hist
         in
         let v = Helix.verify g par in
         Alcotest.(check bool) ("repaired: " ^ v.Helix.detail) true v.Helix.ok;
-        check_incident_visible ~name:"heap stripped waits" par tr);
-    tc "stripped signals: watchdog wedge falls back under the heap engine"
+        check_incident_visible ~name:"event stripped waits" par tr);
+    tc "stripped signals: watchdog wedge falls back under the event engine"
       (fun () ->
         let g, par, tr =
-          run_mutilated ~watchdog:20_000 ~engine:Helix_engine.Engine.Heap
+          run_mutilated ~watchdog:20_000 ~engine:Helix_engine.Engine.Event
             ~robust:Executor.checked ~mutate:strip_signals s_hist
         in
         let v = Helix.verify g par in
@@ -548,7 +548,7 @@ let engine_fallback_tests =
           (par.Executor.r_fallbacks >= 1);
         Alcotest.(check bool) "fallback event traced" true
           (List.mem "fallback" (event_kinds tr)));
-    tc "fallback runs are bit-identical across the three engines" (fun () ->
+    tc "fallback runs are bit-identical across both engines" (fun () ->
         let runs =
           List.map
             (fun engine ->
@@ -558,8 +558,7 @@ let engine_fallback_tests =
               in
               (par.Executor.r_cycles, par.Executor.r_retired,
                par.Executor.r_fallbacks))
-            [ Helix_engine.Engine.Legacy; Helix_engine.Engine.Event;
-              Helix_engine.Engine.Heap ]
+            Helix_engine.Engine.all
         in
         match runs with
         | x :: rest ->
@@ -573,9 +572,7 @@ let engine_fallback_tests =
 
 (* ---- lossy-ring faults and fail-stop recovery --------------------------- *)
 
-let all_engines =
-  [ Helix_engine.Engine.Legacy; Helix_engine.Engine.Event;
-    Helix_engine.Engine.Heap ]
+let all_engines = Helix_engine.Engine.all
 
 (* Run scenario [s] with fault plan [plan] wired into the ring config. *)
 let run_faulty ?(robust = Executor.no_robustness) ?engine

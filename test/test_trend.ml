@@ -9,20 +9,27 @@ let tc name f = Alcotest.test_case name `Quick f
 
 let n_failures fs = List.length (Trend.failures fs)
 
-let has_fail_containing fs needle =
+let has_finding_containing severity fs needle =
   let contains hay =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
   List.exists
-    (fun (f : Trend.finding) -> f.Trend.severity = `Fail && contains f.Trend.message)
-    (Trend.failures fs)
+    (fun (f : Trend.finding) -> f.Trend.severity = severity && contains f.Trend.message)
+    fs
 
-let engine_json ?(legacy = 1000.0) ?(event = 2000.0) ?(heap = 3000.0) () =
+let has_fail_containing = has_finding_containing `Fail
+let has_note_containing = has_finding_containing `Note
+
+let engine_json ?(legacy = 1000.0) ?(event = 2000.0) () =
   Printf.sprintf
-    {|{"legacy":{"cycles_per_sec":%f},"event":{"cycles_per_sec":%f},"heap":{"cycles_per_sec":%f}}|}
-    legacy event heap
+    {|{"legacy":{"cycles_per_sec":%f},"event":{"cycles_per_sec":%f}}|}
+    legacy event
+
+(* A previous run's file from a build that also had a "heap" engine. *)
+let engine_json_with_heap =
+  {|{"legacy":{"cycles_per_sec":1000.0},"event":{"cycles_per_sec":2000.0},"heap":{"cycles_per_sec":3000.0}}|}
 
 let engine_tests =
   [
@@ -35,20 +42,20 @@ let engine_tests =
     tc "a drop beyond the threshold fails" (fun () ->
         let fs =
           Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ~heap:2000.0 ()) ()
+            ~new_json:(engine_json ~event:1000.0 ()) ()
         in
-        Alcotest.(check bool) "heap regression flagged" true
-          (has_fail_containing fs "heap engine regressed"));
+        Alcotest.(check bool) "event regression flagged" true
+          (has_fail_containing fs "event engine regressed"));
     tc "a drop within the threshold passes" (fun () ->
         let fs =
           Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ~heap:2800.0 ()) ()
+            ~new_json:(engine_json ~event:1850.0 ()) ()
         in
         check Alcotest.int "no failures" 0 (n_failures fs));
     tc "custom threshold is honoured" (fun () ->
         let fs =
           Trend.compare_engine ~threshold:0.5 ~old_json:(engine_json ())
-            ~new_json:(engine_json ~heap:1600.0 ()) ()
+            ~new_json:(engine_json ~event:1060.0 ()) ()
         in
         check Alcotest.int "47% drop under a 50% threshold" 0 (n_failures fs));
     tc "an engine with no baseline is a note, not a failure" (fun () ->
@@ -64,6 +71,25 @@ let engine_tests =
         in
         Alcotest.(check bool) "disappearance flagged" true
           (has_fail_containing fs "disappeared"));
+    tc "an engine removed from the build is a note, not a failure"
+      (fun () ->
+        let fs =
+          Trend.compare_engine ~old_json:engine_json_with_heap
+            ~new_json:(engine_json ()) ()
+        in
+        check Alcotest.int "no failures" 0 (n_failures fs);
+        Alcotest.(check bool) "removal noted" true
+          (has_note_containing fs "heap engine removed from the build"));
+    tc "a build engine missing from the current run still fails" (fun () ->
+        let new_json = {|{"legacy":{"cycles_per_sec":1000.0}}|} in
+        let fs =
+          Trend.compare_engine ~old_json:engine_json_with_heap ~new_json ()
+        in
+        check Alcotest.int "one failure" 1 (n_failures fs);
+        Alcotest.(check bool) "event flagged" true
+          (has_fail_containing fs "event engine disappeared");
+        Alcotest.(check bool) "heap only noted" true
+          (has_note_containing fs "heap engine removed from the build"));
     tc "unreadable engine json is a failure" (fun () ->
         let fs =
           Trend.compare_engine ~old_json:"not json"

@@ -233,11 +233,11 @@ let quickstart_prog () =
   let s = wl.Workload.build () in
   (s.Workload.prog, s.Workload.layout, s.Workload.init Workload.Train)
 
-(* Stall-heavy workload for the engine fast-forward benches, compiled
-   once so only the run loop is measured. *)
-let mcf_prepared =
+(* A workload compiled once for the engine fast-forward benches, so only
+   the run loop is measured. *)
+let prepared name =
   lazy
-    (let wl = Registry.find "181.mcf" in
+    (let wl = Registry.find name in
      let s = wl.Workload.build () in
      let c =
        Hcc.compile
@@ -247,10 +247,14 @@ let mcf_prepared =
      in
      (c, fun () -> s.Workload.init Workload.Ref))
 
-let run_mcf engine =
-  let c, fresh_mem = Lazy.force mcf_prepared in
+let run_prepared p engine =
+  let c, fresh_mem = Lazy.force p in
   let cfg = Exp_common.helix_cfg ~engine () in
   ignore (Executor.run ~compiled:c cfg c.Hcc.cp_prog (fresh_mem ()))
+
+(* Stall-heavy and serial-heavy workloads. *)
+let run_mcf = run_prepared (prepared "181.mcf")
+let run_vpr = run_prepared (prepared "175.vpr")
 
 let bench_tests =
   let open Bechamel in
@@ -400,6 +404,8 @@ let bench_tests =
       (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Legacy));
     Test.make ~name:"engine: event fast-forward, mcf (stall-heavy)"
       (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Event));
+    Test.make ~name:"engine: event fast-forward, vpr (serial-heavy)"
+      (Staged.stage (fun () -> run_vpr Helix_engine.Engine.Event));
     Test.make ~name:"pool: 4 interp runs, 1 job"
       (Staged.stage (fun () ->
            Exp_common.Pool.set_jobs 1;

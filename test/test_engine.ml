@@ -317,6 +317,57 @@ let synthetic_tests =
         in
         let ll = run Engine.Legacy in
         check Alcotest.string "event log" ll (run Engine.Event));
+    tc "a reactive component poked earlier fires on time" (fun () ->
+        (* S is purely reactive (promise None) until W fires at 40 and
+           pokes it for cycle 45 -- the executor's ring-injection path,
+           where one component's tick moves another's promise earlier.
+           S must fire at 45 under both engines. *)
+        let run kind =
+          let clock = ref 0 in
+          let eng = Engine.create ~kind ~clock () in
+          let log = Buffer.create 64 in
+          let poked = ref None in
+          Engine.register eng
+            {
+              Engine.cp_name = "S";
+              cp_tick =
+                (fun ~cycle ->
+                  match !poked with
+                  | Some c when c = cycle ->
+                      Buffer.add_string log (Printf.sprintf "S@%d;" cycle);
+                      poked := None
+                  | _ -> ());
+              cp_next_event =
+                (fun ~now ->
+                  match !poked with Some c -> Some (max c now) | None -> None);
+              cp_skip = (fun ~now:_ ~cycles:_ -> ());
+            };
+          let w_fires = ref [ 40 ] in
+          Engine.register eng
+            {
+              Engine.cp_name = "W";
+              cp_tick =
+                (fun ~cycle ->
+                  match !w_fires with
+                  | c :: rest when c = cycle ->
+                      Buffer.add_string log (Printf.sprintf "W@%d;" cycle);
+                      poked := Some 45;
+                      w_fires := rest
+                  | _ -> ());
+              cp_next_event =
+                (fun ~now ->
+                  match !w_fires with [] -> None | c :: _ -> Some (max c now));
+              cp_skip = (fun ~now:_ ~cycles:_ -> ());
+            };
+          Engine.register eng (pulse ~name:"beat" ~log [ 200 ]);
+          while !clock < 250 do
+            Engine.step eng
+          done;
+          Buffer.contents log
+        in
+        let ll = run Engine.Legacy in
+        check Alcotest.string "legacy log" "W@40;S@45;beat@200;" ll;
+        check Alcotest.string "event log" ll (run Engine.Event));
   ]
 
 (* Randomized pulse schedules: the same identity as above over arbitrary

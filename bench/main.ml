@@ -256,6 +256,10 @@ let run_prepared p engine =
 let run_mcf = run_prepared (prepared "181.mcf")
 let run_vpr = run_prepared (prepared "175.vpr")
 
+(* Hundreds of short invocations over a ~16k-word image: the checked
+   path's per-invocation cost, which gzip's handful of invocations hide. *)
+let twolf = prepared "300.twolf"
+
 let bench_tests =
   let open Bechamel in
   [
@@ -379,6 +383,15 @@ let bench_tests =
                    Mach_config.default)
                 compiled.Hcc.cp_prog
                 (s.Workload.init Workload.Ref))));
+    Test.make ~name:"executor: twolf with oracle+sanitizer"
+      (Staged.stage (fun () ->
+           let c, fresh_mem = Lazy.force twolf in
+           ignore
+             (Executor.run ~compiled:c
+                (Executor.default_config ~ring:true
+                   ~comm:Executor.fully_decoupled ~robust:Executor.checked
+                   Mach_config.default)
+                c.Hcc.cp_prog (fresh_mem ()))));
     Test.make ~name:"cache: 100k L1 accesses"
       (Staged.stage (fun () ->
            let c = Helix_machine.Cache.create Mach_config.default_l1 in

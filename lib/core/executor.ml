@@ -42,9 +42,10 @@ let fully_decoupled =
 let fully_coupled =
   { reg_via_ring = false; mem_via_ring = false; sync_via_ring = false }
 
-(* Robustness layer (ISSUE 2).  All checks default off: they cost a
-   memory checkpoint per invocation plus per-access sanitizer work, and
-   the baseline performance experiments must not pay for them. *)
+(* Robustness layer (ISSUE 2).  All checks default off: they cost an
+   undo journal per invocation (O(words it writes)) plus per-access
+   sanitizer work, and the baseline performance experiments must not pay
+   for them. *)
 type robustness = {
   check_oracle : bool;  (* shadow-execute each invocation sequentially *)
   sanitize : bool;      (* dynamic dependence + signal-bound checks *)
@@ -127,8 +128,8 @@ type result = {
    no-retirement watchdog, [Violation] a robustness check under
    [strict] (or one the fallback machinery could not recover from),
    [Faulted] an injected fail-stop the machine could neither reknit
-   around nor fall back from (core 0 died, or no checkpoint/fallback
-   was available mid-invocation). *)
+   around nor fall back from (core 0 died, or no fallback was
+   available mid-invocation). *)
 type stuck_reason = Fuel | Deadlock | Violation | Faulted
 
 let stuck_reason_name = function
@@ -164,9 +165,6 @@ type par_state = {
   mutable ps_stopped : bool; (* some iteration returned 0 *)
   ps_start_cycle : int;      (* workers may not start before this *)
   ps_entry_cycle : int;
-  ps_checkpoint : Memory.t option;
-      (* loop-entry memory image (taken before runtime-cell init) when
-         the oracle or the fallback machinery needs a rollback point *)
 }
 
 type phase = Serial | Parallel of par_state
@@ -587,12 +585,11 @@ let begin_parallel t (pl : Parallel_loop.t) =
       (match trip with Some k -> string_of_int k | None -> "?");
   Trace.loop_enter t.cfg.trace ~cycle:!(t.now) ~loop:pl.Parallel_loop.pl_id
     ~trip;
-  (* rollback point: the memory image before any runtime-cell writes *)
-  let checkpoint =
-    if t.cfg.robust.check_oracle || t.cfg.robust.fallback then
-      Some (Memory.copy t.mem)
-    else None
-  in
+  (* rollback point for the oracle and the fallback: journal every store
+     from here on, runtime-cell writes included; closed when the
+     invocation ends, falls back, or the run raises *)
+  if t.cfg.robust.check_oracle || t.cfg.robust.fallback then
+    Memory.open_journal t.mem;
   if t.cfg.robust.sanitize then Depcheck.reset t.depcheck;
   let red_entry =
     List.map
@@ -644,7 +641,6 @@ let begin_parallel t (pl : Parallel_loop.t) =
         ps_stopped = false;
         ps_start_cycle = !(t.now) + t.cfg.setup_latency;
         ps_entry_cycle = !(t.now);
-        ps_checkpoint = checkpoint;
       }
 
 let parallel_done t (ps : par_state) =
@@ -749,8 +745,8 @@ let oracle_entry t (ps : par_state) : Oracle.entry =
     en_n = t.n;
   }
 
-(* Graceful degradation: roll the invocation back to its entry
-   checkpoint and re-execute it sequentially through the oracle's replay
+(* Graceful degradation: roll the invocation back through its undo
+   journal and re-execute it sequentially through the oracle's replay
    engine, then resume the run at the loop exit.  The ring is aborted
    (its speculative state would be stale after the rollback) and the
    worker cores are rebuilt so no in-flight uop survives; their
@@ -759,13 +755,9 @@ let oracle_entry t (ps : par_state) : Oracle.entry =
    core. *)
 let do_fallback t (ps : par_state) ~reason =
   let pl = ps.ps_pl in
-  let cp =
-    match ps.ps_checkpoint with
-    | Some cp -> cp
-    | None -> invalid_arg "Executor: fallback without checkpoint"
-  in
   (match t.ring with Some r -> Ring.abort r | None -> ());
-  Memory.restore t.mem ~from:cp;
+  Memory.rollback t.mem;
+  Memory.close_journal t.mem;
   Signal_log.reset t.conv_log;
   Queue.clear t.conv_vis;
   for c = 0 to t.n - 1 do
@@ -815,77 +807,94 @@ let detect_violation t =
             outstanding )
     else None
 
-(* Differential oracle: runs after the normal end-of-loop path, replays
-   the invocation sequentially on a copy of the entry checkpoint, and
-   compares trip count, live-out registers and the final memory image.
-   On mismatch under [fallback], the sequential results are adopted --
-   the shadow image *is* the correct exit state, so no re-execution is
-   needed, only the rollback of the parallel one. *)
+(* Differential oracle: runs after the normal end-of-loop path and
+   replays the invocation sequentially in place.  The parallel values of
+   the journaled words are saved, memory rolls back to the entry image,
+   and the shadow runs under the same (now empty) journal.  A word
+   neither side wrote holds its entry value on both, so comparing the
+   union of the two journals is a full-image compare.  Trip count and
+   live-out registers are compared too.  On mismatch under [fallback]
+   the shadow image *is* the correct exit state and stays; otherwise the
+   parallel image is put back. *)
 let check_oracle t (ps : par_state) =
   let loop = ps.ps_pl.Parallel_loop.pl_id in
   let cycle = !(t.now) in
-  match ps.ps_checkpoint with
-  | None -> ()
-  | Some cp -> (
-      let shadow = Memory.copy cp in
-      match Oracle.replay t.prog (oracle_entry t ps) shadow with
-      | exception Oracle.Replay_stuck msg ->
-          t.violations <- t.violations + 1;
-          Trace.oracle_result t.cfg.trace ~cycle ~loop ~ok:false
-            ~detail:("shadow replay stuck: " ^ msg);
-          if t.cfg.robust.strict then
-            raise (Stuck (Violation, "oracle shadow replay stuck: " ^ msg))
-      | rp -> (
-          let probs = ref [] in
-          if rp.Oracle.rp_executed <> ps.ps_executed then
+  let mem = t.mem in
+  let parallel = Hashtbl.create 64 in
+  Memory.iter_journal mem (fun a _ ->
+      Hashtbl.replace parallel a (Memory.load mem a));
+  Memory.rollback mem;
+  let keep_parallel () =
+    Memory.rollback mem;
+    Memory.close_journal mem;
+    Hashtbl.iter (Memory.store mem) parallel
+  in
+  match Oracle.replay t.prog (oracle_entry t ps) mem with
+  | exception Oracle.Replay_stuck msg ->
+      keep_parallel ();
+      t.violations <- t.violations + 1;
+      Trace.oracle_result t.cfg.trace ~cycle ~loop ~ok:false
+        ~detail:("shadow replay stuck: " ^ msg);
+      if t.cfg.robust.strict then
+        raise (Stuck (Violation, "oracle shadow replay stuck: " ^ msg))
+  | rp -> (
+      let probs = ref [] in
+      if rp.Oracle.rp_executed <> ps.ps_executed then
+        probs :=
+          Printf.sprintf "trip: parallel %d vs sequential %d" ps.ps_executed
+            rp.Oracle.rp_executed
+          :: !probs;
+      List.iter
+        (fun (r, v) ->
+          let got = Context.reg_value t.serial_ctx r in
+          if got <> v then
             probs :=
-              Printf.sprintf "trip: parallel %d vs sequential %d"
-                ps.ps_executed rp.Oracle.rp_executed
-              :: !probs;
-          List.iter
-            (fun (r, v) ->
-              let got = Context.reg_value t.serial_ctx r in
-              if got <> v then
-                probs :=
-                  Printf.sprintf "reg r%d: parallel %d vs sequential %d" r got
-                    v
-                  :: !probs)
-            rp.Oracle.rp_regs;
-          if not (Memory.equal t.mem shadow) then
-            probs := "final memory image differs" :: !probs;
-          match !probs with
-          | [] ->
-              Trace.oracle_result t.cfg.trace ~cycle ~loop ~ok:true ~detail:""
-          | probs ->
-              let detail = String.concat "; " (List.rev probs) in
-              t.violations <- t.violations + 1;
-              Trace.violation t.cfg.trace ~cycle ~loop ~kind:"oracle" ~detail;
-              Trace.oracle_result t.cfg.trace ~cycle ~loop ~ok:false ~detail;
-              if t.cfg.robust.strict then
-                raise
-                  (Stuck
-                     ( Violation,
-                       Printf.sprintf "oracle mismatch on loop %d: %s" loop
-                         detail ))
-              else if t.cfg.robust.fallback then begin
-                (match t.ring with Some r -> Ring.abort r | None -> ());
-                Memory.restore t.mem ~from:shadow;
-                List.iter
-                  (fun (r, v) -> Context.set_reg t.serial_ctx r v)
-                  rp.Oracle.rp_regs;
-                t.fallbacks <- t.fallbacks + 1;
-                Trace.fallback t.cfg.trace ~cycle ~loop ~reason:"oracle"
-                  ~iterations:rp.Oracle.rp_executed;
-                t.serial_stall_until <-
-                  max t.serial_stall_until
-                    (cycle + 2 + rp.Oracle.rp_dyn_instrs)
-              end))
+              Printf.sprintf "reg r%d: parallel %d vs sequential %d" r got v
+              :: !probs)
+        rp.Oracle.rp_regs;
+      let differs = ref false in
+      Hashtbl.iter
+        (fun a v -> if v <> Memory.load mem a then differs := true)
+        parallel;
+      Memory.iter_journal mem (fun a entry ->
+          if (not (Hashtbl.mem parallel a)) && entry <> Memory.load mem a then
+            differs := true);
+      if !differs then probs := "final memory image differs" :: !probs;
+      if !probs <> [] && t.cfg.robust.fallback && not t.cfg.robust.strict
+      then Memory.close_journal mem
+      else keep_parallel ();
+      match !probs with
+      | [] ->
+          Trace.oracle_result t.cfg.trace ~cycle ~loop ~ok:true ~detail:""
+      | probs ->
+          let detail = String.concat "; " (List.rev probs) in
+          t.violations <- t.violations + 1;
+          Trace.violation t.cfg.trace ~cycle ~loop ~kind:"oracle" ~detail;
+          Trace.oracle_result t.cfg.trace ~cycle ~loop ~ok:false ~detail;
+          if t.cfg.robust.strict then
+            raise
+              (Stuck
+                 ( Violation,
+                   Printf.sprintf "oracle mismatch on loop %d: %s" loop detail
+                 ))
+          else if t.cfg.robust.fallback then begin
+            (match t.ring with Some r -> Ring.abort r | None -> ());
+            List.iter
+              (fun (r, v) -> Context.set_reg t.serial_ctx r v)
+              rp.Oracle.rp_regs;
+            t.fallbacks <- t.fallbacks + 1;
+            Trace.fallback t.cfg.trace ~cycle ~loop ~reason:"oracle"
+              ~iterations:rp.Oracle.rp_executed;
+            t.serial_stall_until <-
+              max t.serial_stall_until (cycle + 2 + rp.Oracle.rp_dyn_instrs)
+          end)
 
 let end_parallel t (ps : par_state) =
   let loop = ps.ps_pl.Parallel_loop.pl_id in
   let normal () =
     end_parallel_normal t ps;
-    if t.cfg.robust.check_oracle then check_oracle t ps
+    if t.cfg.robust.check_oracle then check_oracle t ps;
+    Memory.close_journal t.mem
   in
   match detect_violation t with
   | None -> normal ()
@@ -898,7 +907,7 @@ let end_parallel t (ps : par_state) =
              ( Violation,
                Printf.sprintf "%s violation on loop %d: %s" vkind loop detail
              ))
-      else if t.cfg.robust.fallback && ps.ps_checkpoint <> None then
+      else if t.cfg.robust.fallback then
         do_fallback t ps ~reason:vkind
       else normal ()
 
@@ -1203,7 +1212,7 @@ let adopt_lanes t ~dead =
    iterations or the dead core took accepted-but-unsent messages down
    with it, the contract is broken (consumed thresholds and lockstep
    barriers reference the old ownership map), so the invocation rolls
-   back to its checkpoint and replays sequentially; without that option
+   back to its entry image and replays sequentially; without that option
    the run is stuck with the [Faulted] reason.  Core 0 is the serial
    core: its death is always fatal. *)
 let process_fail_stop t ~node ~cycle =
@@ -1235,7 +1244,7 @@ let process_fail_stop t ~node ~cycle =
           && (match t.ring with Some r -> Ring.drained r | None -> true)
         in
         if pristine then spawn_workers t
-        else if t.cfg.robust.fallback && ps.ps_checkpoint <> None then begin
+        else if t.cfg.robust.fallback then begin
           do_fallback t ps ~reason:"fail_stop";
           t.last_progress <- cycle
         end
@@ -1301,7 +1310,7 @@ let sched_tick t ~cycle =
     Trace.emit t.cfg.trace ~cycle ~kind:"stuck_snapshot"
       [ ("snapshot", stuck_snapshot t ~reason) ];
     match t.phase with
-    | Parallel ps when t.cfg.robust.fallback && ps.ps_checkpoint <> None ->
+    | Parallel ps when t.cfg.robust.fallback ->
         (* a wedged parallel invocation degrades to sequential *)
         do_fallback t ps ~reason:"deadlock";
         t.last_progress <- cycle
@@ -1453,9 +1462,14 @@ let run ?compiled (cfg : config) (prog : Ir.program) (mem : Memory.t) : result
   Context.start t.serial_ctx prog.Ir.p_main [];
   let eng = Engine.create ~kind:cfg.engine ~clock:t.now () in
   List.iter (Engine.register eng) (components t);
-  while not t.done_ do
-    Engine.step eng
-  done;
+  (* a raise mid-invocation (strict violation, fail-stop, watchdog) must
+     not leave the caller's memory journaling *)
+  Fun.protect
+    ~finally:(fun () -> Memory.close_journal mem)
+    (fun () ->
+      while not t.done_ do
+        Engine.step eng
+      done);
   (* cores discarded by fallbacks contribute their statistics too *)
   let all_stats =
     Array.to_list (Array.map Core.stats t.cores) @ t.extra_stats

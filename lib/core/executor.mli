@@ -30,8 +30,9 @@ val fully_decoupled : comm_mode
 val fully_coupled : comm_mode
 
 (** Robustness layer: differential oracle, dependence sanitizer and
-    graceful sequential fallback.  All checks default off — they cost a
-    memory checkpoint per invocation plus per-access sanitizer work. *)
+    graceful sequential fallback.  All checks default off — they cost an
+    undo journal of the words each invocation writes plus per-access
+    sanitizer work. *)
 type robustness = {
   check_oracle : bool;
       (** shadow-execute each parallel invocation sequentially via
@@ -43,7 +44,7 @@ type robustness = {
           asserts the paper's ≤2 outstanding-signals bound at flush *)
   fallback : bool;
       (** on a violation or a parallel-phase deadlock, roll back to the
-          loop-entry checkpoint, re-execute sequentially and continue *)
+          loop-entry image, re-execute sequentially and continue *)
   strict : bool;  (** violations raise [Stuck (Violation, _)] instead *)
 }
 
@@ -111,7 +112,7 @@ type result = {
     [Faulted] an injected fail-stop the machine could neither reknit
     around (survivors taking over the dead core's iterations) nor roll
     back from — core 0 died, or a mid-invocation death found no
-    checkpoint/fallback.  Names: ["fuel"], ["deadlock"], ["violation"],
+    fallback.  Names: ["fuel"], ["deadlock"], ["violation"],
     ["fault"]. *)
 type stuck_reason = Fuel | Deadlock | Violation | Faulted
 

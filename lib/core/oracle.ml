@@ -77,9 +77,9 @@ let replay (prog : Ir.program) (en : entry) (mem : Memory.t) : replay =
       Interp.run_func prog pl.Parallel_loop.pl_body_fn mem
         ~args:(i :: en.en_params)
     with
-    | res ->
-        dyn := !dyn + res.Interp.stats.Interp.dyn_instrs;
-        res.Interp.ret
+    | ret, stats ->
+        dyn := !dyn + stats.Interp.dyn_instrs;
+        ret
     | exception Interp.Out_of_fuel ->
         raise (Replay_stuck "shadow iteration out of fuel")
     | exception Interp.Runtime_error e ->

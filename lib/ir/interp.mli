@@ -48,5 +48,7 @@ val run :
 
 val run_func :
   ?hooks:hooks -> ?fuel:int -> ?args:int list -> Ir.program -> string ->
-  Memory.t -> result
-(** Execute a single named function. *)
+  Memory.t -> int option * stats
+(** Execute a single named function; returns its return value and the
+    dynamic counts.  Unlike [run] it does not hash memory, so a call
+    costs only the instructions it retires. *)

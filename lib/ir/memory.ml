@@ -7,30 +7,41 @@
 
 type t = {
   words : (int, int) Hashtbl.t;
-  mutable writes : int; (* total stores, for statistics *)
+  mutable journal : (int, int) Hashtbl.t option;
+      (* undo journal: every address stored since it opened, mapped to
+         its value at that moment *)
 }
 
-let create () = { words = Hashtbl.create 4096; writes = 0 }
+let create () = { words = Hashtbl.create 4096; journal = None }
 
 let load m a = match Hashtbl.find_opt m.words a with Some v -> v | None -> 0
 
-let store m a v =
-  m.writes <- m.writes + 1;
+let[@inline] set m a v =
   if v = 0 then Hashtbl.remove m.words a else Hashtbl.replace m.words a v
 
-let copy m = { words = Hashtbl.copy m.words; writes = m.writes }
+let store m a v =
+  (match m.journal with
+  | None -> ()
+  | Some j -> if not (Hashtbl.mem j a) then Hashtbl.add j a (load m a));
+  set m a v
 
-let clear m =
-  Hashtbl.reset m.words;
-  m.writes <- 0
+let copy m = { words = Hashtbl.copy m.words; journal = None }
 
-(* Roll [m] back to the image captured in [from] (itself untouched).  The
-   executor's fallback path checkpoints memory at parallel-loop entry and
-   restores it here before re-executing the invocation sequentially. *)
-let restore m ~from =
-  Hashtbl.reset m.words;
-  Hashtbl.iter (fun a v -> if v <> 0 then Hashtbl.replace m.words a v) from.words;
-  m.writes <- m.writes + 1
+(* The executor's checked paths open a journal at parallel-loop entry
+   instead of copying the image, so rolling an invocation back or
+   comparing it against its shadow costs O(words it wrote). *)
+let open_journal m = m.journal <- Some (Hashtbl.create 64)
+let close_journal m = m.journal <- None
+
+let rollback m =
+  match m.journal with
+  | None -> invalid_arg "Memory.rollback: no open journal"
+  | Some j ->
+      Hashtbl.iter (set m) j;
+      Hashtbl.reset j
+
+let iter_journal m f =
+  match m.journal with None -> () | Some j -> Hashtbl.iter f j
 
 (* Content hash, independent of insertion order; used as the oracle that a
    parallel execution produced exactly the sequential memory image. *)
@@ -51,10 +62,6 @@ let equal m1 m2 =
     with Exit -> false
   in
   sub m1 m2 && sub m2 m1
-
-let nonzero_bindings m =
-  Hashtbl.fold (fun a v acc -> if v <> 0 then (a, v) :: acc else acc) m.words []
-  |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* Static layout of named regions                                      *)

@@ -9,19 +9,36 @@ val create : unit -> t
 val load : t -> int -> int
 val store : t -> int -> int -> unit
 val copy : t -> t
-val clear : t -> unit
+(** A fresh memory with the same contents and no open journal. *)
 
-val restore : t -> from:t -> unit
-(** [restore m ~from] rolls [m] back to the image captured in [from]
-    (which is left untouched): the rollback half of the executor's
-    checkpoint/re-execute fallback. *)
+(** {2 Undo journal}
+
+    While a journal is open, the first [store] to an address records the
+    value it held when the journal opened.  Rolling back or walking the
+    journal costs O(distinct addresses stored), not O(image size): the
+    executor's checkpoint for fallback and for the oracle's shadow. *)
+
+val open_journal : t -> unit
+(** Start an empty journal at the current image (replacing any open one). *)
+
+val close_journal : t -> unit
+(** Stop recording; the image is left as it is. *)
+
+val rollback : t -> unit
+(** Restore every journaled address to its value when the journal opened
+    (erasing bindings that were absent) and empty the journal, which stays
+    open at the restored image.
+    @raise Invalid_argument when no journal is open. *)
+
+val iter_journal : t -> (int -> int -> unit) -> unit
+(** [iter_journal m f] calls [f addr old] for every address stored since
+    the journal opened, [old] being its value then.  No-op when closed. *)
 
 val hash : t -> int
 (** Content hash, independent of insertion order: the oracle that a
     parallel execution reproduced the sequential memory image. *)
 
 val equal : t -> t -> bool
-val nonzero_bindings : t -> (int * int) list
 
 (** Static layout of named regions: the ground truth for allocation
     sites, and the address map workload generators build against. *)

@@ -1061,7 +1061,7 @@ let flush t ~cycle =
   if dirty = 0 then 1 else 2 * max_share |> max 1
 
 (* Abandon the current invocation without write-back: the executor's
-   fallback path rolls memory back to the loop-entry checkpoint and
+   fallback path rolls memory back to the loop-entry image and
    re-executes the invocation sequentially, so the ring's speculative
    state -- dirty values in [current], in-flight traffic, signal
    accounting, cached copies -- must simply vanish.  Clean copies are

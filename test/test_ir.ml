@@ -429,6 +429,44 @@ let prop_memory_copy_equal =
       (Memory.store c 5000 1;
        not (Memory.equal m c)))
 
+(* Undo journal: stores hit a small address range (so addresses repeat)
+   with a quarter of them zero (so some erase bindings the pre-journal
+   image holds). *)
+let prop_journal_rollback =
+  let stores = QCheck.(list (pair (int_range 0 40) (int_range 0 3))) in
+  QCheck.Test.make ~name:"journal rollback restores the image it opened at"
+    ~count:300 (QCheck.pair stores stores)
+    (fun (before, during) ->
+      let m = Memory.create () in
+      List.iter (fun (a, v) -> Memory.store m a v) before;
+      let at_open = Memory.copy m in
+      Memory.open_journal m;
+      List.iter (fun (a, v) -> Memory.store m a v) during;
+      let journal m =
+        let l = ref [] in
+        Memory.iter_journal m (fun a old -> l := (a, old) :: !l);
+        List.sort compare !l
+      in
+      let j = journal m in
+      let touched_ok =
+        List.map fst j = List.sort_uniq compare (List.map fst during)
+      in
+      let olds_ok =
+        List.for_all (fun (a, old) -> old = Memory.load at_open a) j
+      in
+      Memory.rollback m;
+      let restored = Memory.equal m at_open in
+      let emptied = journal m = [] in
+      Memory.close_journal m;
+      List.iter (fun (a, v) -> Memory.store m a v) during;
+      let closed_records_nothing =
+        journal m = []
+        && match Memory.rollback m with
+           | () -> false
+           | exception Invalid_argument _ -> true
+      in
+      touched_ok && olds_ok && restored && emptied && closed_records_nothing)
+
 let prop_layout_site_lookup =
   QCheck.Test.make ~name:"layout site lookup agrees with region bounds"
     ~count:100
@@ -448,7 +486,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_interp_matches_eval; prop_isqrt; prop_memory_copy_equal;
-      prop_layout_site_lookup;
+      prop_journal_rollback; prop_layout_site_lookup;
     ]
 
 (* ---- pretty printing ------------------------------------------------- *)

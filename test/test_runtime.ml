@@ -379,9 +379,10 @@ let double_signals (compiled : Hcc.compiled) =
         bf.Ir.f_order)
     (Hcc.selected_loops compiled)
 
-(* Run a deliberately mutilated compile of [s] under [robust] and return
-   (golden, result, trace). *)
-let run_mutilated ?(watchdog = max_int) ?engine ~robust ~mutate s =
+(* Run a deliberately mutilated compile of [s] under [robust] on [mem]
+   and return (golden, result, trace). *)
+let run_mutilated ?(watchdog = max_int) ?engine ?(mem = Memory.create ())
+    ~robust ~mutate s =
   let tr = Helix_obs.Trace.create () in
   let gp, _ = s.prog () in
   let g = Helix.golden_run gp (Memory.create ()) in
@@ -395,7 +396,7 @@ let run_mutilated ?(watchdog = max_int) ?engine ~robust ~mutate s =
       Executor.watchdog_cycles = watchdog;
     }
   in
-  let par = Executor.run ~compiled cfg compiled.Hcc.cp_prog (Memory.create ()) in
+  let par = Executor.run ~compiled cfg compiled.Hcc.cp_prog mem in
   (g, par, tr)
 
 let event_kinds tr =
@@ -478,8 +479,15 @@ let robustness_tests =
         let robust =
           { Executor.checked with Executor.strict = true; fallback = false }
         in
-        match run_mutilated ~robust ~mutate:strip_waits s_hist with
-        | exception Executor.Stuck (Executor.Violation, _) -> ()
+        let mem = Memory.create () in
+        match run_mutilated ~mem ~robust ~mutate:strip_waits s_hist with
+        | exception Executor.Stuck (Executor.Violation, _) ->
+            (* raised mid-invocation: the run must not leave the caller's
+               memory journaling *)
+            Memory.store mem 0 1;
+            let journaled = ref 0 in
+            Memory.iter_journal mem (fun _ _ -> incr journaled);
+            check Alcotest.int "undo journal closed" 0 !journaled
         | exception Executor.Stuck (r, _) ->
             Alcotest.fail
               ("wrong stuck reason: " ^ Executor.stuck_reason_name r)
@@ -517,6 +525,55 @@ let robustness_tests =
                   0 par.Executor.r_violations)
               [ 11; 202; 3003 ])
           [ s_hist; s_quadratic; s_conditional ]);
+  ]
+
+(* ---- the oracle on its own ---------------------------------------------- *)
+
+(* With the sanitizer off, stripped waits reach the oracle, whose shadow
+   compare is then the only check that sees the stale reads. *)
+let oracle_only = { Executor.no_robustness with Executor.check_oracle = true }
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let oracle_tests =
+  [
+    tc "oracle mismatch under fallback adopts the shadow image" (fun () ->
+        let g, par, tr =
+          run_mutilated
+            ~robust:{ oracle_only with Executor.fallback = true }
+            ~mutate:strip_waits s_hist
+        in
+        check Alcotest.int "violations" 1 par.Executor.r_violations;
+        check Alcotest.int "fallbacks" 1 par.Executor.r_fallbacks;
+        Alcotest.(check bool) "oracle violation traced" true
+          (has_violation_kind tr "oracle");
+        let v = Helix.verify g par in
+        Alcotest.(check bool) ("shadow image adopted: " ^ v.Helix.detail) true
+          v.Helix.ok);
+    tc "oracle mismatch under strict raises Stuck Violation" (fun () ->
+        match
+          run_mutilated
+            ~robust:{ oracle_only with Executor.strict = true }
+            ~mutate:strip_waits s_hist
+        with
+        | exception Executor.Stuck (Executor.Violation, msg) ->
+            Alcotest.(check bool) ("names the image: " ^ msg) true
+              (contains msg "final memory image differs")
+        | exception Executor.Stuck (r, _) ->
+            Alcotest.fail
+              ("wrong stuck reason: " ^ Executor.stuck_reason_name r)
+        | _ -> Alcotest.fail "expected Stuck Violation under strict");
+    tc "oracle mismatch alone keeps the parallel image" (fun () ->
+        let g, par, _ =
+          run_mutilated ~robust:oracle_only ~mutate:strip_waits s_hist
+        in
+        check Alcotest.int "violations" 1 par.Executor.r_violations;
+        check Alcotest.int "fallbacks" 0 par.Executor.r_fallbacks;
+        Alcotest.(check bool) "parallel image kept, so verify fails" false
+          (Helix.verify g par).Helix.ok);
   ]
 
 (* ---- robustness under the event engine ---------------------------------- *)
@@ -1029,6 +1086,7 @@ let () =
       ("invariants", invariant_tests);
       ("fault-injection", fault_tests);
       ("robustness", robustness_tests);
+      ("oracle-only", oracle_tests);
       ("engine-fallback", engine_fallback_tests);
       ("fault-recovery", fault_recovery_tests);
       ("depcheck", depcheck_tests);

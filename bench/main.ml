@@ -260,6 +260,32 @@ let run_vpr = run_prepared (prepared "175.vpr")
    path's per-invocation cost, which gzip's handful of invocations hide. *)
 let twolf = prepared "300.twolf"
 
+(* 10k ticks of a 16-node ring taking a store every 8 cycles, under an
+   optional fault plan. *)
+let ring_ticks ?faults name =
+  Bechamel.Test.make ~name
+    (Bechamel.Staged.stage (fun () ->
+         let backing = Hashtbl.create 16 in
+         let r =
+           Helix_ring.Ring.create
+             { (Helix_ring.Ring.default_config ~n_nodes:16) with
+               Helix_ring.Ring.faults }
+             {
+               Helix_ring.Ring.backing_load =
+                 (fun a -> try Hashtbl.find backing a with Not_found -> 0);
+               backing_store = (fun a v -> Hashtbl.replace backing a v);
+               owner_l1_latency = (fun ~core:_ ~cycle:_ ~write:_ ~addr:_ -> 3);
+             }
+         in
+         for c = 0 to 9_999 do
+           if c land 7 = 0 then
+             ignore
+               (Helix_ring.Ring.try_store r ~node:(c land 15)
+                  ~addr:(64 + (c land 63))
+                  ~value:c ~cycle:c);
+           Helix_ring.Ring.tick r ~cycle:c
+         done))
+
 let bench_tests =
   let open Bechamel in
   [
@@ -275,87 +301,18 @@ let bench_tests =
       (Staged.stage (fun () ->
            let prog, _, mem = quickstart_prog () in
            ignore (Helix.run_sequential Mach_config.default prog mem)));
-    Test.make ~name:"ring: 10k ticks with traffic"
-      (Staged.stage (fun () ->
-           let backing = Hashtbl.create 16 in
-           let r =
-             Helix_ring.Ring.create
-               (Helix_ring.Ring.default_config ~n_nodes:16)
-               {
-                 Helix_ring.Ring.backing_load =
-                   (fun a -> try Hashtbl.find backing a with Not_found -> 0);
-                 backing_store = (fun a v -> Hashtbl.replace backing a v);
-                 owner_l1_latency =
-                   (fun ~core:_ ~cycle:_ ~write:_ ~addr:_ -> 3);
-               }
-           in
-           for c = 0 to 9_999 do
-             if c land 7 = 0 then
-               ignore
-                 (Helix_ring.Ring.try_store r ~node:(c land 15)
-                    ~addr:(64 + (c land 63))
-                    ~value:c ~cycle:c);
-             Helix_ring.Ring.tick r ~cycle:c
-           done));
-    Test.make ~name:"ring: 10k jittered ticks with traffic"
-      (Staged.stage (fun () ->
-           (* same traffic as above under seeded perturbation: the cost
-              of the fault-injection hash on the hot path *)
-           let backing = Hashtbl.create 16 in
-           let r =
-             Helix_ring.Ring.create
-               {
-                 (Helix_ring.Ring.default_config ~n_nodes:16) with
-                 Helix_ring.Ring.perturb =
-                   Some (Helix_ring.Ring.perturbed ~seed:42 ());
-               }
-               {
-                 Helix_ring.Ring.backing_load =
-                   (fun a -> try Hashtbl.find backing a with Not_found -> 0);
-                 backing_store = (fun a v -> Hashtbl.replace backing a v);
-                 owner_l1_latency =
-                   (fun ~core:_ ~cycle:_ ~write:_ ~addr:_ -> 3);
-               }
-           in
-           for c = 0 to 9_999 do
-             if c land 7 = 0 then
-               ignore
-                 (Helix_ring.Ring.try_store r ~node:(c land 15)
-                    ~addr:(64 + (c land 63))
-                    ~value:c ~cycle:c);
-             Helix_ring.Ring.tick r ~cycle:c
-           done));
-    Test.make ~name:"ring: 10k faulty ticks with traffic"
-      (Staged.stage (fun () ->
-           (* same traffic again under a lossy fault plan: hot-path cost
-              of per-send fault rolls, hop/checksum validation and the
-              retransmission timer upkeep *)
-           let backing = Hashtbl.create 16 in
-           let r =
-             Helix_ring.Ring.create
-               {
-                 (Helix_ring.Ring.default_config ~n_nodes:16) with
-                 Helix_ring.Ring.faults =
-                   Some
-                     (Helix_ring.Ring.faulty ~drop:20 ~dup:10 ~reorder:10
-                        ~corrupt:10 ~seed:42 ());
-               }
-               {
-                 Helix_ring.Ring.backing_load =
-                   (fun a -> try Hashtbl.find backing a with Not_found -> 0);
-                 backing_store = (fun a v -> Hashtbl.replace backing a v);
-                 owner_l1_latency =
-                   (fun ~core:_ ~cycle:_ ~write:_ ~addr:_ -> 3);
-               }
-           in
-           for c = 0 to 9_999 do
-             if c land 7 = 0 then
-               ignore
-                 (Helix_ring.Ring.try_store r ~node:(c land 15)
-                    ~addr:(64 + (c land 63))
-                    ~value:c ~cycle:c);
-             Helix_ring.Ring.tick r ~cycle:c
-           done));
+    ring_ticks "ring: 10k ticks with traffic";
+    (* same traffic under the delay class: the cost of the plan's hash on
+       the hot path *)
+    ring_ticks "ring: 10k jittered ticks with traffic"
+      ~faults:(Helix_ring.Ring.faulty ~delay:2 ~seed:42 ());
+    (* same traffic again under a lossy fault plan: hot-path cost of
+       per-send fault rolls, hop/checksum validation and the
+       retransmission timer upkeep *)
+    ring_ticks "ring: 10k faulty ticks with traffic"
+      ~faults:
+        (Helix_ring.Ring.faulty ~drop:20 ~dup:10 ~reorder:10 ~corrupt:10
+           ~seed:42 ());
     Test.make ~name:"depcheck: 100k recorded accesses"
       (Staged.stage (fun () ->
            let d = Depcheck.create () in

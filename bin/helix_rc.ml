@@ -250,26 +250,28 @@ let strict_arg =
 
 let jitter_arg =
   let doc =
-    "Delay-only fault injection (the mildest class of the fault family): \
-     perturb ring link/injection/signal latencies with bounded extra \
-     delays deterministically derived from $(docv).  Jitter never loses, \
-     repeats or reorders a message, so architectural results must be \
-     invariant under any seed with no recovery machinery engaged.  For \
-     the five lossy classes (drop, duplicate, reorder, corrupt, \
-     fail-stop) see $(b,--faults)."
+    "Shorthand for $(b,--faults) $(b,seed=)$(docv)$(b,,delay=2): delay-only \
+     fault injection, which perturbs ring link, injection and signal \
+     latencies by bounded extra delays derived from $(docv).  A delay \
+     never loses, repeats or reorders a message, so architectural results \
+     must be invariant under any seed with no recovery machinery engaged.  \
+     Cannot be combined with $(b,--faults): put $(b,delay=) in its spec."
   in
   Arg.(value & opt (some int) None & info [ "jitter" ] ~docv:"SEED" ~doc)
 
 let faults_arg =
   let doc =
-    "Lossy-ring fault schedule, e.g. \
-     $(b,seed=42,drop=5,dup=3,reorder=2,corrupt=1,kill=3\\@50000): \
-     comma-separated key=value pairs; drop/dup/reorder/corrupt are \
-     per-mille per-link-send rates, kill=NODE\\@CYCLE fail-stops a core.  \
-     The recovery protocol (sequence numbers, checksums, go-back-N \
-     retransmission) must deliver the correct result for any message-loss \
-     schedule; fail-stop recovers by reknitting the ring or falling back \
-     (pair with $(b,--check)), and exits 13 when unrecoverable."
+    "Ring fault schedule, e.g. \
+     $(b,seed=42,delay=2,drop=5,dup=3,reorder=2,corrupt=1,kill=3@50000): \
+     comma-separated key=value pairs.  delay=D adds up to D cycles per hop \
+     (2D on signal wires) and never loses a message.  drop/dup/reorder/corrupt \
+     are per-mille per-link-send rates that share one roll, so they sum to \
+     at most 1000 and drop+corrupt stays below 1000; any of them engages \
+     the recovery protocol (sequence numbers, checksums, go-back-N \
+     retransmission), which must deliver the correct result for any \
+     message-loss schedule.  kill=NODE@CYCLE fail-stops a core; the run \
+     recovers by reknitting the ring or falling back (pair with \
+     $(b,--check)), and exits 13 when unrecoverable."
   in
   let fconv =
     Arg.conv
@@ -281,6 +283,25 @@ let faults_arg =
           Fmt.string ppf (Helix_ring.Ring.fault_plan_to_string p) )
   in
   Arg.(value & opt (some fconv) None & info [ "faults" ] ~docv:"SPEC" ~doc)
+
+(* The run's fault plan: [--jitter S] is [--faults seed=S,delay=2]; the
+   two together, or a kill of a core the machine lacks, are usage
+   errors. *)
+let fault_plan ~jitter ~faults =
+  let n_cores = Helix_machine.Mach_config.(default.n_cores) in
+  match (jitter, faults) with
+  | Some _, Some _ ->
+      Error
+        "--jitter and --faults together: put delay= in the --faults spec \
+         (--jitter S is --faults seed=S,delay=2)"
+  | Some seed, None -> Ok (Some (Helix_ring.Ring.faulty ~delay:2 ~seed ()))
+  | None, Some { Helix_ring.Link.fl_fail_stop = Some (node, _); _ }
+    when node >= n_cores ->
+      Error
+        (Printf.sprintf
+           "--faults kill=%d@...: the machine has %d cores (0..%d)" node
+           n_cores (n_cores - 1))
+  | None, plan -> Ok plan
 
 let engine_conv =
   let module Engine = Helix_engine.Engine in
@@ -302,24 +323,22 @@ let engine_arg =
   Arg.(
     value & opt (some engine_conv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-(* HELIX-RC run honouring --trace/--check/--strict/--jitter/--faults/
-   --engine: any of them bypasses the memo cache (the cached result has
-   no events attached and was produced under the unperturbed, unchecked,
-   default configuration). *)
-let run_helix_obs wl ~trace ~check ~strict ~jitter ?faults ~engine () =
+(* HELIX-RC run honouring --trace/--check/--strict/--faults/--engine:
+   any of them bypasses the memo cache (the cached result has no events
+   attached and was produced under the fault-free, unchecked, default
+   configuration). *)
+let run_helix_obs wl ~trace ~check ~strict ?faults ~engine () =
   let robust =
     if strict then
       Some { Executor.checked with Executor.strict = true; fallback = false }
     else if check then Some Executor.checked
     else None
   in
-  if trace = None && robust = None && jitter = None && faults = None
-     && engine = None
-  then Exp_common.run_helix wl Exp_common.V3
+  if trace = None && robust = None && faults = None && engine = None then
+    Exp_common.run_helix wl Exp_common.V3
   else
     Exp_common.parallel ~cache:false ~tag:"helix-robust" wl Exp_common.V3
-      (Exp_common.helix_cfg ?trace ?robust ?jitter_seed:jitter ?faults ?engine
-         ())
+      (Exp_common.helix_cfg ?trace ?robust ?faults ?engine ())
 
 let dump_obs (par : Executor.result) ~trace_sink ~metrics_sink trace =
   (match (trace_sink, trace) with
@@ -348,6 +367,9 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const (fun wl trace_file metrics_file check strict jitter faults engine ->
+          match fault_plan ~jitter ~faults with
+          | Error m -> `Error (true, m)
+          | Ok plan ->
           match (open_sink trace_file, open_sink metrics_file) with
           | Error m, _ | _, Error m -> `Error (false, m)
           | Ok trace_sink, Ok metrics_sink ->
@@ -360,7 +382,7 @@ let run_cmd =
                 (* on Stuck, flush the trace collected so far: it is the
                    diagnostic artifact CI uploads *)
                 try
-                  run_helix_obs wl ~trace:tr ~check ~strict ~jitter ?faults
+                  run_helix_obs wl ~trace:tr ~check ~strict ?faults:plan
                     ~engine ()
                 with Executor.Stuck _ as e ->
                   (match (trace_sink, tr) with
@@ -379,7 +401,7 @@ let run_cmd =
                 wl.Workload.name seq.Executor.r_cycles par.Executor.r_cycles
                 (Helix.speedup ~seq ~par)
                 (if ok then "OK" else "FAIL");
-              if check || strict || jitter <> None || faults <> None then
+              if check || strict || plan <> None then
                 Fmt.pr
                   "robustness: %d violation(s), %d sequential fallback(s)@."
                   par.Executor.r_violations par.Executor.r_fallbacks;
@@ -439,8 +461,7 @@ let stats_cmd =
             else None
           in
           let par =
-            run_helix_obs wl ~trace:tr ~check:false ~strict:false ~jitter:None
-              ~engine ()
+            run_helix_obs wl ~trace:tr ~check:false ~strict:false ~engine ()
           in
           Fmt.pr "%s: %d cycles (%d serial, %d parallel), %d instructions@."
             wl.Workload.name par.Executor.r_cycles

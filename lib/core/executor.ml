@@ -989,14 +989,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       n_active = n;
       pending_death =
         (match cfg.ring_cfg with
-        | Some rc -> (
-            match rc.Ring.faults with
-            | Some p -> (
-                match p.Ring.fl_fail_stop with
-                | Some (node, _) when node >= n -> None (* no such core *)
-                | d -> d)
-            | None -> None)
-        | None -> None);
+        | Some { Ring.faults = Some p; _ } -> p.Link.fl_fail_stop
+        | _ -> None);
     }
   in
   t_ref := Some t;

@@ -178,33 +178,20 @@ let parallel ?(cache = true) ~(tag : string) (wl : Workload.t)
 let conventional_cfg ?(mach = Mach_config.default) ?engine () =
   Executor.default_config ~ring:false ~comm:Executor.fully_coupled ?engine mach
 
-let helix_cfg ?(mach = Mach_config.default) ?trace ?robust ?jitter_seed
-    ?faults ?engine () =
+let helix_cfg ?(mach = Mach_config.default) ?trace ?robust ?faults ?engine
+    () =
   let cfg =
     Executor.default_config ~ring:true ~comm:Executor.fully_decoupled ?trace
       ?robust ?engine mach
   in
-  let with_ring f cfg =
-    { cfg with
-      Executor.ring_cfg = Option.map f cfg.Executor.ring_cfg }
-  in
-  let cfg =
-    match jitter_seed with
-    | None -> cfg
-    | Some seed ->
-        with_ring
-          (fun rc ->
-            { rc with
-              Helix_ring.Ring.perturb = Some (Helix_ring.Ring.perturbed ~seed ())
-            })
-          cfg
-  in
   match faults with
   | None -> cfg
   | Some plan ->
-      with_ring
-        (fun rc -> { rc with Helix_ring.Ring.faults = Some plan })
-        cfg
+      { cfg with
+        Executor.ring_cfg =
+          Option.map
+            (fun rc -> { rc with Helix_ring.Ring.faults = Some plan })
+            cfg.Executor.ring_cfg }
 
 (* Conventional run of a version's code (HCCv1/v2 always run here). *)
 let run_conventional wl version =

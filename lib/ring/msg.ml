@@ -4,18 +4,9 @@
    lap) and a global injection sequence number.  Links deliver messages in
    order, which -- together with the compiler-guaranteed unidirectional
    data flow -- gives the "signals move in lockstep with forwarded data"
-   property of Section 5.1.
-
-   For the lossy-ring fault model (ISSUE 5) a message additionally
-   carries a per-hop sequence number [hop] (stamped by the sending node
-   of each link when a fault plan is active; receivers detect loss,
-   duplication and reordering as gaps, repeats and inversions of the
-   per-link hop stream) and a payload checksum [csum] (computed once at
-   injection over the payload, origin and injection sequence; a
-   corrupted wire copy fails {!valid} and is discarded, to be recovered
-   by the sender's retransmission buffer).  With no fault plan both
-   fields are dead weight: [hop] stays 0 and [csum] is never checked,
-   so the fault-free simulation is bit-identical. *)
+   property of Section 5.1.  Hop stamps and checksums for the lossy-ring
+   fault model are the link layer's business ({!Link}), not the
+   message's. *)
 
 type payload =
   | Data of { addr : int; value : int }
@@ -32,35 +23,9 @@ type t = {
   payload : payload;
   origin : int;  (* injecting node *)
   seq : int;     (* global injection order *)
-  hop : int;     (* per-link hop sequence (faulty rings only, else 0) *)
-  csum : int;    (* payload checksum, computed at injection *)
 }
 
-(* splitmix-style mix of the protocol-relevant fields; pure, so any node
-   can recompute and compare. *)
-let checksum ~(payload : payload) ~origin ~seq =
-  let a, b =
-    match payload with
-    | Data { addr; value } -> (addr, value)
-    | Sig { seg; barrier } -> (seg lxor 0x5deece66d, barrier)
-  in
-  let x =
-    (a * 0x9e3779b97f4a7c1)
-    lxor (b * 0xf51afd7ed558cc5)
-    lxor ((origin + 1) * 0x4ceb9fe1a85ec53)
-    lxor ((seq + 1) * 0x2545f4914f6cdd1)
-  in
-  let x = x lxor (x lsr 33) in
-  let x = x * 0xff51afd7ed558cc in
-  (x lxor (x lsr 29)) land max_int
-
-let make ~payload ~origin ~seq =
-  { payload; origin; seq; hop = 0; csum = checksum ~payload ~origin ~seq }
-
-let valid m = m.csum = checksum ~payload:m.payload ~origin:m.origin ~seq:m.seq
-
 let is_data m = match m.payload with Data _ -> true | Sig _ -> false
-let is_sig m = match m.payload with Sig _ -> true | Data _ -> false
 
 let pp ppf m =
   match m.payload with

@@ -10,54 +10,21 @@
     store, implementing "signals move in lockstep with forwarded
     data". *)
 
-(** Deterministic timing jitter: bounded extra {e delays} hashed purely
-    from [(seed, cycle, node, salt)].  Delay is the mildest fault class —
-    every ring queue is FIFO and delivery only pops heads, so jitter can
-    delay traffic but never lose, repeat or reorder it, and architectural
-    results must be invariant under any seed with no recovery machinery.
-    The five lossy classes (drop / duplicate / reorder / corrupt /
-    fail-stop) live in {!fault_plan} and engage the retransmission
-    protocol. *)
-type perturbation = {
-  pj_seed : int;
-  pj_link_max : int;    (** extra cycles per hop, uniform in [0, max] *)
-  pj_inject_max : int;  (** extra core-to-node injection delay *)
-  pj_signal_max : int;  (** additional delay applied to signal messages *)
-}
-
-val perturbed :
-  ?link_max:int -> ?inject_max:int -> ?signal_max:int -> seed:int -> unit ->
-  perturbation
-(** Perturbation with small bounded defaults (2/3/2 cycles). *)
-
-(** Lossy-ring fault schedule: per-mille per-link-send rates for the four
-    message-level classes plus an optional fail-stop event.  Faults
-    attack wire copies only; the recovery protocol (per-hop sequence
-    numbers, payload checksums, go-back-N retransmission with cumulative
-    acks and exponential backoff) delivers the identical message sequence
-    to every node, so any plan perturbs timing but never architectural
-    results — fail-stop excepted, which the executor handles by
-    reknitting or falling back. *)
-type fault_plan = {
-  fl_seed : int;
-  fl_drop : int;     (** per-mille probability per link send *)
-  fl_dup : int;
-  fl_reorder : int;
-  fl_corrupt : int;
-  fl_fail_stop : (int * int) option;  (** [(node, cycle)]: core dies *)
-}
+(** Seeded delay / lossy / fail-stop plan; see {!Link.fault_plan}.  Delay
+    and the four lossy classes act on the wires ({!Link}); fail-stop acts
+    on a node, which degrades to a repeater. *)
+type fault_plan = Link.fault_plan
 
 val faulty :
-  ?drop:int -> ?dup:int -> ?reorder:int -> ?corrupt:int ->
+  ?delay:int -> ?drop:int -> ?dup:int -> ?reorder:int -> ?corrupt:int ->
   ?fail_stop:int * int -> seed:int -> unit -> fault_plan
-(** Rates clamp to [0..1000] per mille; all default to 0. *)
+(** {!Link.faulty}. *)
 
 val fault_plan_of_string : string -> (fault_plan, string) result
-(** Parse a spec like ["seed=42,drop=5,dup=3,reorder=2,corrupt=1,kill=3@50000"]
-    (comma-separated [key=value]; rates per mille; [kill=NODE@CYCLE]). *)
+(** {!Link.fault_plan_of_string}. *)
 
 val fault_plan_to_string : fault_plan -> string
-(** Round-trips through {!fault_plan_of_string}; zero rates omitted. *)
+(** {!Link.fault_plan_to_string}. *)
 
 type config = {
   n_nodes : int;
@@ -73,14 +40,13 @@ type config = {
   greedy_sig_inject : bool;  (** ablation: signal wires inject with
                                  leftover bandwidth *)
   flush_invalidates : bool;  (** ablation: flush drops clean copies *)
-  perturb : perturbation option;  (** seeded delay jitter (lossless) *)
-  faults : fault_plan option;     (** seeded lossy-ring fault schedule *)
+  faults : fault_plan option;  (** seeded delay / lossy / fail-stop plan *)
 }
 
 val default_config : n_nodes:int -> config
 (** The paper's default: 1-cycle links, 1-word data / 5-signal bandwidth,
-    2-cycle injection, 1KB 8-way single-word-line arrays, no perturbation
-    and no faults. *)
+    2-cycle injection, 1KB 8-way single-word-line arrays, no fault
+    plan. *)
 
 (** Callbacks into the rest of the memory system. *)
 type env = {
@@ -95,7 +61,8 @@ val create : ?trace:Helix_obs.Trace.t -> config -> env -> t
 (** [?trace] enables structured event tracing (injections, blocked
     injections, lockstep holds, back-pressure stalls) into the given
     ring buffer; omitted, the hot paths pay one branch per event
-    site. *)
+    site.  Raises [Invalid_argument] if the plan fail-stops a node the
+    ring does not have. *)
 
 (** {1 Core-facing operations} *)
 
@@ -125,12 +92,11 @@ val max_outstanding_signals : t -> int
 (** {1 Clocking and maintenance} *)
 
 val tick : t -> cycle:int -> unit
-(** Advance the network one cycle: deliver arrived messages (with a fault
-    plan active, validating checksums and per-hop sequence numbers and
-    discarding corrupt/duplicate/out-of-order copies), learn acks and
-    fire expired retransmission timers, then forward with priority over
-    injection (strictly on the data wires) and inject.  Fail-stopped
-    nodes act as repeaters: they forward and retire but never apply. *)
+(** Advance the network one cycle: the link layer delivers arrived
+    messages (see {!Link.tick}), then every node forwards with priority
+    over injection (strictly on the data wires) and injects.
+    Fail-stopped nodes act as repeaters: they forward and retire but
+    never apply. *)
 
 val kill_node : t -> node:int -> cycle:int -> int * int
 (** Fail-stop [node]'s core and reknit the ring around it (the node
@@ -151,11 +117,11 @@ val next_event : t -> now:int -> int option
     hierarchical: each node publishes a local "empty until c" (stall
     release, injection readiness, lockstep-held heads deferred to the
     data events that release them) and the ring-wide promise is the
-    roll-up minimum, together with link-head arrival cycles.  With a
-    fault plan active, retransmission deadlines and pending-ack learn
-    cycles are wake sources too (even when nothing is logically in
-    flight), so recovery timers participate in idle-cycle skipping
-    instead of requiring per-cycle polling. *)
+    roll-up minimum, together with link-head arrival cycles.  Under a
+    lossy plan, retransmission deadlines and pending-ack learn cycles
+    are wake sources too (even when nothing is logically in flight), so
+    recovery timers participate in idle-cycle skipping instead of
+    requiring per-cycle polling. *)
 
 val drained : t -> bool
 (** No message in flight anywhere.  O(1): maintained incrementally from

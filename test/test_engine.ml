@@ -123,7 +123,8 @@ let jitter_cfg seed =
         (fun rc ->
           {
             rc with
-            Helix_ring.Ring.perturb = Some (Helix_ring.Ring.perturbed ~seed ());
+            Helix_ring.Ring.faults =
+              Some (Helix_ring.Ring.faulty ~delay:2 ~seed ());
           })
         cfg.Executor.ring_cfg;
   }

@@ -121,10 +121,10 @@ let tests =
           rows);
     tc "fault injection: jitter seeds preserve architectural state" (fun () ->
         (* the acceptance bar for the fault-injection layer: under at
-           least three deterministic perturbation seeds every integer
-           workload must produce the bit-identical return value and
-           final memory image of the unperturbed run, with the
-           differential oracle and sanitizer enabled and silent *)
+           least three seeds of the delay class every integer workload
+           must produce the bit-identical return value and final memory
+           image of the fault-free run, with the differential oracle and
+           sanitizer enabled and silent *)
         List.iter
           (fun wl ->
             let name = wl.Helix_workloads.Workload.name in
@@ -135,7 +135,9 @@ let tests =
               (fun seed ->
                 let cfg =
                   Exp_common.helix_cfg
-                    ~robust:Helix_core.Executor.checked ~jitter_seed:seed ()
+                    ~robust:Helix_core.Executor.checked
+                    ~faults:(Helix_ring.Ring.faulty ~delay:2 ~seed ())
+                    ()
                 in
                 let r =
                   Exp_common.parallel ~cache:false

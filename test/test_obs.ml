@@ -473,6 +473,70 @@ let env_tests =
        ]
   @ bench_env_tests
 
+(* ---- the run command's fault options -------------------------------- *)
+
+(* Run [args] through the CLI; (exit code, stdout, stderr). *)
+let run_cli args =
+  let out = Filename.temp_file "helix_cli" ".out" in
+  let err = Filename.temp_file "helix_cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/helix_rc.exe %s >%s 2>%s" args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let read f =
+    let s = In_channel.with_open_text f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let o = read out in
+  (code, o, read err)
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+let cli_tests =
+  [
+    tc "run --help renders the fault spec and writes no error" (fun () ->
+        let code, out, err = run_cli "run --help=plain" in
+        check Alcotest.int "exit status" 0 code;
+        check Alcotest.string "stderr" "" err;
+        Alcotest.(check bool) "kill=3@50000 in the example" true
+          (contains out "kill=3@50000");
+        Alcotest.(check bool) "delay= documented" true
+          (contains out "delay=D"));
+    tc "--jitter S is --faults seed=S,delay=2, byte for byte" (fun () ->
+        let metrics flag =
+          let f = Filename.temp_file "helix_metrics" ".json" in
+          let code, _, err =
+            run_cli
+              (Printf.sprintf "run 164.gzip %s --metrics-out %s" flag
+                 (Filename.quote f))
+          in
+          check Alcotest.int (flag ^ ": exit status " ^ err) 0 code;
+          let m = read_file f in
+          Sys.remove f;
+          m
+        in
+        check Alcotest.string "metrics JSON"
+          (metrics "--jitter 42")
+          (metrics "--faults seed=42,delay=2"));
+  ]
+  @ List.map
+      (fun (args, needle) ->
+        tc (Fmt.str "run 164.gzip %s is refused" args) (fun () ->
+            let code, _, err = run_cli ("run 164.gzip " ^ args) in
+            Alcotest.(check bool) "nonzero exit" true (code <> 0);
+            Alcotest.(check bool) ("message: " ^ err) true (contains err needle);
+            Alcotest.(check bool) ("no exception: " ^ err) false
+              (contains err "xception" || contains err "Fatal error")))
+      [
+        ("--faults kill=99@100", "16 cores");
+        ("--faults seed=1,drop=500,corrupt=500", "drop+corrupt");
+        ("--faults seed=1,drop=600,dup=500", "at most 1000");
+        ("--faults delay=-1", "delay: must be >= 0");
+        ("--jitter 1 --faults seed=1,drop=2", "delay=");
+      ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -483,5 +547,6 @@ let () =
       ("deadlock-report", deadlock_tests);
       ("bench-trend", trend_tests);
       ("env", env_tests);
+      ("cli-faults", cli_tests);
       ("properties", props);
     ]

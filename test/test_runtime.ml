@@ -509,8 +509,8 @@ let robustness_tests =
                         (fun rc ->
                           {
                             rc with
-                            Helix_ring.Ring.perturb =
-                              Some (Helix_ring.Ring.perturbed ~seed ());
+                            Helix_ring.Ring.faults =
+                              Some (Helix_ring.Ring.faulty ~delay:2 ~seed ());
                           })
                         c.Executor.ring_cfg;
                   }

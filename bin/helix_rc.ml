@@ -416,6 +416,16 @@ let run_cmd =
                   (m "ring.faults_injected") (m "ring.retransmits")
                   (m "ring.drops_detected") (m "ring.reknits")
               end;
+              (match plan with
+              | Some { Helix_ring.Link.fl_fail_stop = Some (node, at); _ }
+                when Helix_obs.Metrics.find_int par.Executor.r_metrics
+                       "exec.dead_cores"
+                     = Some 0 ->
+                  Fmt.epr
+                    "helix-rc: warning: kill=%d@@%d never fired: the run \
+                     ended at cycle %d@."
+                    node at par.Executor.r_cycles
+              | _ -> ());
               dump_obs par ~trace_sink ~metrics_sink tr;
               if check && not ok then begin
                 Fmt.epr "helix-rc: %s: result differs from the sequential \

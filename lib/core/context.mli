@@ -18,35 +18,38 @@ type status =
   | Suspended of parallel_trigger (** serial core at a parallel header *)
   | Finished of int option
 
-type frame = {
-  func : Ir.func;
-  regs : int array;
-  mutable block : Ir.label;
-  mutable index : int;
-  mutable entered : bool;
-  dst_in_caller : Ir.reg option;
-}
+(** {2 Decoded code} *)
 
-type t = {
-  prog : Ir.program;
-  mem : Memory.t;
-  core_id : int;
-  mutable frames : frame list;
-  mutable status : status;
-  mutable wait_depth : int;
-  mutable seg_stack : int list;  (** open segments, innermost first *)
-  mutable rand_seed : int;
-  mutable retired : int;
-  trigger : (string -> Ir.label -> bool) option;
-  mutable on_mem : (seg:int option -> addr:int -> write:bool -> unit) option;
-}
+type code
+(** A program decoded for the timed walker: each function becomes (on its
+    first call) an array of blocks whose instructions carry their
+    register tokens for every frame depth; ALU-class instructions and
+    branches carry their finished uops, which every dynamic instance
+    shares.  Build one per run and share it between the serial context
+    and every worker. *)
 
-val create :
-  ?trigger:(string -> Ir.label -> bool) option ->
-  Ir.program -> Memory.t -> core_id:int -> t
-(** [trigger] fires on block entry in the outermost frame; when it
-    returns true the context suspends (the serial core reached a
-    selected parallel-loop header). *)
+val code : ?trigger:(string -> Ir.label -> bool) -> Ir.program -> code
+(** [trigger f l] marks block [l] of function [f] as a parallel-loop
+    header: a [~serial:true] context suspends on entering it.  Default:
+    no block is a header. *)
+
+val stride : code -> int
+(** At least every function's [f_next_reg]: the spacing of token depth
+    planes. *)
+
+val token : code -> int -> Ir.reg -> int
+(** [token code depth r] = [(depth land 3) * stride code + r]: distinct
+    for distinct [(depth mod 4, r)] pairs, and below [4 * stride code].
+    @raise Invalid_argument unless [0 <= r < min (stride code) 65536]. *)
+
+(** {2 Contexts} *)
+
+type t
+
+val create : ?serial:bool -> code -> Memory.t -> core_id:int -> t
+(** [serial] (default [false]): the context suspends when it enters a
+    block the code's trigger marks (the serial core reached a selected
+    parallel-loop header). *)
 
 val start : t -> string -> int list -> unit
 (** Begin executing [fname args]; discards any previous call. *)

@@ -173,6 +173,7 @@ type t = {
   cfg : config;
   compiled : Hcc.compiled option;
   prog : Ir.program;
+  code : Context.code;  (* decoded once, shared by every context *)
   mem : Memory.t;
   n : int;
   hier : Hierarchy.t;
@@ -200,7 +201,7 @@ type t = {
      scheduler-visible iteration-scheduling signature of the previous
      cycle, to veto fast-forwarding across a supply-unblocking change *)
   conv_vis : int Queue.t;
-  mutable sched_sig : bool * int * int * int * int * bool * int;
+  sched_sig : int array;
   mutable sched_changed : bool;
   (* conventional signalling: (seg, origin) -> store cycles, in order *)
   conv_log : Signal_log.t;
@@ -459,42 +460,39 @@ let finish_iteration ~now (ps : par_state) rv =
       if not ps.ps_stopped then ps.ps_contig <- ps.ps_contig + 1
   | Some _ | None -> ps.ps_stopped <- true
 
-let worker_next_uop t (ps : par_state) (w : worker) =
-  let rec go () =
-    match Context.status w.w_ctx with
-    | Context.Running | Context.Blocked -> (
-        match Context.next_uop w.w_ctx with
-        | Some u ->
-            u.Uop.meta <- max 0 (w.w_local_iter - 1);
-            Some u
-        | None -> None)
-    | Context.Suspended _ -> None
-    | Context.Finished rv ->
-        if w.w_running_iter then begin
-          w.w_running_iter <- false;
-          finish_iteration ~now:!(t.now) ps rv
-        end;
-        (* schedule the next iteration assigned to this core: the sweep
-           over its owned lanes (identical to core-id round-robin while
-           every core lives) *)
-        let iter =
-          iter_of_local ~n:t.n ~owned:t.owned ~core:w.w_core
-            ~local_iter:w.w_local_iter
-        in
-        if can_start t ps iter then begin
-          w.w_local_iter <- w.w_local_iter + 1;
-          ps.ps_started <- ps.ps_started + 1;
-          w.w_running_iter <- true;
-          if !traced < trace_invocations then
-            Printf.eprintf "  [trace] @%d core %d starts iter %d\n" !(t.now)
-              w.w_core iter;
-          Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
-            (iter :: ps.ps_params);
-          go ()
-        end
-        else None
-  in
-  go ()
+let rec worker_next_uop t (ps : par_state) (w : worker) =
+  match Context.status w.w_ctx with
+  | Context.Running | Context.Blocked -> (
+      match Context.next_uop w.w_ctx with
+      | Some u as next ->
+          u.Uop.meta <- max 0 (w.w_local_iter - 1);
+          next
+      | None -> None)
+  | Context.Suspended _ -> None
+  | Context.Finished rv ->
+      if w.w_running_iter then begin
+        w.w_running_iter <- false;
+        finish_iteration ~now:!(t.now) ps rv
+      end;
+      (* schedule the next iteration assigned to this core: the sweep
+         over its owned lanes (identical to core-id round-robin while
+         every core lives) *)
+      let iter =
+        iter_of_local ~n:t.n ~owned:t.owned ~core:w.w_core
+          ~local_iter:w.w_local_iter
+      in
+      if can_start t ps iter then begin
+        w.w_local_iter <- w.w_local_iter + 1;
+        ps.ps_started <- ps.ps_started + 1;
+        w.w_running_iter <- true;
+        if !traced < trace_invocations then
+          Printf.eprintf "  [trace] @%d core %d starts iter %d\n" !(t.now)
+            w.w_core iter;
+        Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
+          (iter :: ps.ps_params);
+        worker_next_uop t ps w
+      end
+      else None
 
 (* ---- phase transitions ---- *)
 
@@ -533,7 +531,7 @@ let spawn_workers t =
       let w =
         {
           w_core = c;
-          w_ctx = Context.create t.prog t.mem ~core_id:c;
+          w_ctx = Context.create t.code t.mem ~core_id:c;
           w_local_iter = 0;
           w_running_iter = false;
         }
@@ -924,7 +922,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
           (fun fname header ->
             Hcc.find_parallel_loop c ~func:fname ~header <> None)
   in
-  let serial_ctx = Context.create ~trigger prog mem ~core_id:0 in
+  let code = Context.code ?trigger prog in
+  let serial_ctx = Context.create ~serial:true code mem ~core_id:0 in
   let hier = Hierarchy.create cfg.mach in
   let t_ref = ref None in
   let ring =
@@ -955,6 +954,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       cfg;
       compiled;
       prog;
+      code;
       mem;
       n;
       hier;
@@ -975,7 +975,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       last_progress = 0;
       last_retired = -1;
       conv_vis = Queue.create ();
-      sched_sig = (false, 0, 0, 0, 0, false, n);
+      sched_sig = [| n; 0; 0; 0; 0; 0; 0 |];
       sched_changed = false;
       conv_log = Signal_log.create ~origins:n;
       reg_cells;
@@ -1053,8 +1053,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
   in
   t.mk_core <-
     (fun c ->
-      Core.create ~retired_sink:t.total_retired cfg.mach.Mach_config.core
-        (supply_for c));
+      Core.create ~retired_sink:t.total_retired ~id:c
+        cfg.mach.Mach_config.core (supply_for c));
   t.cores <- Array.init n t.mk_core;
   t
 
@@ -1264,17 +1264,31 @@ let process_fail_stop t ~node ~cycle =
    fast-forward across it.  [n_active] is part of the signature: a
    fail-stop reassigns lanes, which can unblock (or create) supply on
    every surviving core. *)
-let sched_signature t =
+(* [sched_sig] slots: 0 [n_active], 1 phase (1 = parallel), then, while
+   parallel, 2 entry cycle, 3 started, 4 finished, 5 contig, 6 stopped.
+   Slots 2-6 are compared only in the parallel phase: entering or
+   leaving it flips slot 1, which registers the change by itself. *)
+let sig_set s i v changed =
+  if Array.unsafe_get s i = v then changed
+  else begin
+    s.(i) <- v;
+    true
+  end
+
+(* Store this cycle's signature; [true] when it differs from the
+   previous one. *)
+let update_sched_signature t =
+  let s = t.sched_sig in
+  let c = sig_set s 0 t.n_active false in
   match t.phase with
-  | Serial -> (false, 0, 0, 0, 0, false, t.n_active)
+  | Serial -> sig_set s 1 0 c
   | Parallel ps ->
-      ( true,
-        ps.ps_entry_cycle,
-        ps.ps_started,
-        ps.ps_finished,
-        ps.ps_contig,
-        ps.ps_stopped,
-        t.n_active )
+      let c = sig_set s 1 1 c in
+      let c = sig_set s 2 ps.ps_entry_cycle c in
+      let c = sig_set s 3 ps.ps_started c in
+      let c = sig_set s 4 ps.ps_finished c in
+      let c = sig_set s 5 ps.ps_contig c in
+      sig_set s 6 (Bool.to_int ps.ps_stopped) c
 
 (* Everything the legacy loop body did besides ring/core ticks: the
    progress watchdog and the phase state machine.  Runs as the last
@@ -1332,15 +1346,13 @@ let sched_tick t ~cycle =
   | Parallel ps ->
       t.parallel_cycles <- t.parallel_cycles + 1;
       if parallel_done t ps then end_parallel t ps);
-  let s = sched_signature t in
-  t.sched_changed <- s <> t.sched_sig;
-  t.sched_sig <- s
+  t.sched_changed <- update_sched_signature t
 
 (* Earliest future cycle at which the scheduler itself could act.  The
    returned cycle is always finite (the watchdog trigger bounds it), so
    runaway skips are impossible. *)
 let sched_next_event t ~now =
-  if t.done_ || t.sched_changed then Some now
+  if t.done_ || t.sched_changed then now
   else begin
     let w = ref max_int in
     let add c = if c >= now && c < !w then w := c in
@@ -1377,7 +1389,7 @@ let sched_next_event t ~now =
       else t.last_progress
     in
     add (max now (lp + t.cfg.watchdog_cycles + 1));
-    Some !w
+    !w
   end
 
 (* Charge the skipped window [now .. now + cycles - 1] exactly as the
@@ -1408,7 +1420,7 @@ let components t =
                           t.cfg.fuel) ))
           end);
       (* the fuel check must run at cycle fuel+1: cap every skip there *)
-      cp_next_event = (fun ~now -> Some (max now (t.cfg.fuel + 1)));
+      cp_next_event = (fun ~now -> max now (t.cfg.fuel + 1));
       cp_skip = noop_skip;
     }
   in
@@ -1420,7 +1432,11 @@ let components t =
           {
             Engine.cp_name = "ring";
             cp_tick = (fun ~cycle -> Ring.tick r ~cycle);
-            cp_next_event = (fun ~now -> Ring.next_event r ~now);
+            cp_next_event =
+              (fun ~now ->
+                match Ring.next_event r ~now with
+                | Some c -> c
+                | None -> Engine.never);
             cp_skip = noop_skip;
           };
         ]
@@ -1434,12 +1450,9 @@ let components t =
       cp_skip = (fun ~now ~cycles -> Core.skip t.cores.(i) ~now ~cycles);
     }
   in
-  let hier =
-    {
-      (Engine.passive "hier") with
-      Engine.cp_next_event = (fun ~now -> Hierarchy.next_event t.hier ~now);
-    }
-  in
+  (* the hierarchy charges every latency at access time: it holds no
+     pending state and never wakes up by itself *)
+  let hier = Engine.passive "hier" in
   let sched =
     {
       Engine.cp_name = "sched";

@@ -9,10 +9,12 @@ let kind_of_string = function
 
 let kind_to_string = function Legacy -> "legacy" | Event -> "event"
 
+let never = max_int
+
 type component = {
   cp_name : string;
   cp_tick : cycle:int -> unit;
-  cp_next_event : now:int -> int option;
+  cp_next_event : now:int -> int;
   cp_skip : now:int -> cycles:int -> unit;
 }
 
@@ -20,7 +22,7 @@ let passive name =
   {
     cp_name = name;
     cp_tick = (fun ~cycle:_ -> ());
-    cp_next_event = (fun ~now:_ -> None);
+    cp_next_event = (fun ~now:_ -> never);
     cp_skip = (fun ~now:_ ~cycles:_ -> ());
   }
 
@@ -73,15 +75,13 @@ let step t =
             let i = t.scan_start + j in
             if i >= n then i - n else i
           in
-          match comps.(i).cp_next_event ~now with
-          | None -> ()
-          | Some e ->
-              let e = if e < now then now else e in
-              if e = now then begin
-                t.scan_start <- i;
-                raise Active
-              end;
-              if e < !wake then wake := e
+          let e = comps.(i).cp_next_event ~now in
+          let e = if e < now then now else e in
+          if e = now then begin
+            t.scan_start <- i;
+            raise Active
+          end;
+          if e < !wake then wake := e
         done;
         if !wake > now && !wake < max_int then begin
           let k = !wake - now in

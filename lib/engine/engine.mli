@@ -13,7 +13,7 @@
     watchdog bookkeeping).
 
     The contract that makes [Event] bit-identical to [Legacy] is: if
-    every registered component returns [Some w_i] (or [None]) with
+    every registered component returns [w_i] (or {!never}) with
     [min w_i > now], then ticking every component at each cycle of
     [now .. min w_i - 1] is a no-op except for per-cycle statistics
     charging -- which [cp_skip] must perform in closed form. *)
@@ -26,18 +26,23 @@ val all : kind list
 val kind_of_string : string -> kind option
 val kind_to_string : kind -> string
 
+val never : int
+(** [max_int]: the {!component.cp_next_event} answer of a purely
+    reactive component. *)
+
 type component = {
   cp_name : string;
   cp_tick : cycle:int -> unit;
       (** Advance the component's state by one cycle.  Components are
           ticked in registration order, once per engine step. *)
-  cp_next_event : now:int -> int option;
+  cp_next_event : now:int -> int;
       (** Called after a full tick round, with [now] = the cycle about
-          to be simulated.  [Some c] (with [c >= now]) promises that the
-          component cannot change state before cycle [c]; [Some now]
-          means "active, do not skip".  [None] means the component is
+          to be simulated.  [c] (with [c >= now]) promises that the
+          component cannot change state before cycle [c]; [now] means
+          "active, do not skip".  {!never} means the component is
           purely reactive: it only changes state in response to other
-          components and never wakes up by itself. *)
+          components and never wakes up by itself.  An int rather than
+          an option, so the per-round probe allocates nothing. *)
   cp_skip : now:int -> cycles:int -> unit;
       (** The engine skipped [cycles] cycles starting at [now] (i.e. the
           window [now .. now + cycles - 1] was never ticked).  Charge

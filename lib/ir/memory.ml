@@ -5,19 +5,65 @@
    region table doubles as the ground truth for allocation sites and for
    the ring cache's owner-node address hashing. *)
 
+(* Words in [0, 2^30) live in 1024-word pages, allocated on the first
+   non-zero store and indexed through a directory that grows on demand;
+   anything else (negative or huge addresses) goes to an int-keyed
+   overflow table.  A load is two array reads, with no hashing. *)
+
+module Ih = Hashtbl.Make (Int)
+
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let paged_limit = 1 lsl 30
+let no_page : int array = [||]
+
 type t = {
-  words : (int, int) Hashtbl.t;
+  mutable dir : int array array;  (* page index -> page, or [no_page] *)
+  overflow : int Ih.t;            (* words outside [0, paged_limit) *)
   mutable journal : (int, int) Hashtbl.t option;
       (* undo journal: every address stored since it opened, mapped to
          its value at that moment *)
 }
 
-let create () = { words = Hashtbl.create 4096; journal = None }
+let create () = { dir = [||]; overflow = Ih.create 16; journal = None }
 
-let load m a = match Hashtbl.find_opt m.words a with Some v -> v | None -> 0
+let[@inline] paged a = a >= 0 && a < paged_limit
 
-let[@inline] set m a v =
-  if v = 0 then Hashtbl.remove m.words a else Hashtbl.replace m.words a v
+let load m a =
+  if paged a then
+    let p = a lsr page_bits in
+    if p < Array.length m.dir then
+      let pg = Array.unsafe_get m.dir p in
+      if Array.length pg = 0 then 0 else Array.unsafe_get pg (a land page_mask)
+    else 0
+  else match Ih.find_opt m.overflow a with Some v -> v | None -> 0
+
+let grow_dir m p =
+  let n = ref (max 16 (Array.length m.dir)) in
+  while !n <= p do
+    n := 2 * !n
+  done;
+  let dir = Array.make !n no_page in
+  Array.blit m.dir 0 dir 0 (Array.length m.dir);
+  m.dir <- dir
+
+let set m a v =
+  if paged a then begin
+    let p = a lsr page_bits in
+    if p >= Array.length m.dir then (if v <> 0 then grow_dir m p);
+    if p < Array.length m.dir then begin
+      let pg = m.dir.(p) in
+      if Array.length pg > 0 then pg.(a land page_mask) <- v
+      else if v <> 0 then begin
+        let pg = Array.make page_size 0 in
+        pg.(a land page_mask) <- v;
+        m.dir.(p) <- pg
+      end
+    end
+  end
+  else if v = 0 then Ih.remove m.overflow a
+  else Ih.replace m.overflow a v
 
 let store m a v =
   (match m.journal with
@@ -25,7 +71,12 @@ let store m a v =
   | Some j -> if not (Hashtbl.mem j a) then Hashtbl.add j a (load m a));
   set m a v
 
-let copy m = { words = Hashtbl.copy m.words; journal = None }
+let copy m =
+  {
+    dir = Array.map Array.copy m.dir;  (* [no_page] copies to itself *)
+    overflow = Ih.copy m.overflow;
+    journal = None;
+  }
 
 (* The executor's checked paths open a journal at parallel-loop entry
    instead of copying the image, so rolling an invocation back or
@@ -43,21 +94,30 @@ let rollback m =
 let iter_journal m f =
   match m.journal with None -> () | Some j -> Hashtbl.iter f j
 
+(* Every non-zero word, in no particular order. *)
+let iter_nonzero m f =
+  Array.iteri
+    (fun p pg ->
+      let base = p lsl page_bits in
+      for i = 0 to Array.length pg - 1 do
+        let v = Array.unsafe_get pg i in
+        if v <> 0 then f (base + i) v
+      done)
+    m.dir;
+  Ih.iter f m.overflow
+
 (* Content hash, independent of insertion order; used as the oracle that a
    parallel execution produced exactly the sequential memory image. *)
 let hash m =
   let acc = ref 0 in
-  Hashtbl.iter
-    (fun a v -> if v <> 0 then acc := !acc lxor (Hashtbl.hash (a, v) * 0x9e3779b1))
-    m.words;
+  iter_nonzero m (fun a v ->
+      acc := !acc lxor (Hashtbl.hash (a, v) * 0x9e3779b1));
   !acc
 
 let equal m1 m2 =
   let sub a b =
     try
-      Hashtbl.iter
-        (fun k v -> if v <> 0 && load b k <> v then raise Exit)
-        a.words;
+      iter_nonzero a (fun k v -> if load b k <> v then raise Exit);
       true
     with Exit -> false
   in

@@ -12,7 +12,7 @@ type t = {
   supply : Core_model.supply;
   stats : Stats.t;
   predictor : Branch_pred.t;
-  reg_ready : (int, int) Hashtbl.t;
+  mutable reg_ready : int array;   (* token -> ready cycle; grows *)
   mutable pending : Uop.t option;  (* fetched, not yet issued *)
   mutable fetch_avail : int;       (* front-end redirect until this cycle *)
   mutable mem_busy_until : int;    (* blocking data-cache port *)
@@ -40,17 +40,14 @@ let trace_win =
       | [ Some lo; Some hi ] -> Some (lo, hi)
       | _ -> None)
 
-let core_counter = ref (-1)
-
-let create ?retired_sink cfg supply =
-  incr core_counter;
+let create ?retired_sink ~id cfg supply =
   {
-    my_id = !core_counter mod 16;
+    my_id = id;
     cfg;
     supply;
     stats = Stats.create ?retired_sink ();
     predictor = Branch_pred.create ();
-    reg_ready = Hashtbl.create 64;
+    reg_ready = Array.make 64 0;
     pending = None;
     fetch_avail = 0;
     mem_busy_until = 0;
@@ -61,18 +58,29 @@ let create ?retired_sink cfg supply =
     ne_idle_ticks = 0;
   }
 
-let ready t r = try Hashtbl.find t.reg_ready r with Not_found -> 0
+let ready t r =
+  if r < Array.length t.reg_ready then Array.unsafe_get t.reg_ready r else 0
 
-let srcs_ready t (u : Uop.t) cycle =
-  List.for_all (fun r -> ready t r <= cycle) u.Uop.srcs
+let rec srcs_ready t srcs cycle =
+  match srcs with
+  | [] -> true
+  | r :: rest -> ready t r <= cycle && srcs_ready t rest cycle
 
 let set_dst t (u : Uop.t) c =
   match u.Uop.dst with
-  | Some d -> Hashtbl.replace t.reg_ready d c
+  | Some d ->
+      if d >= Array.length t.reg_ready then begin
+        let a = Array.make (max (d + 1) (2 * Array.length t.reg_ready)) 0 in
+        Array.blit t.reg_ready 0 a 0 (Array.length t.reg_ready);
+        t.reg_ready <- a
+      end;
+      t.reg_ready.(d) <- c
   | None -> ()
 
-let src_ready_cycle t (u : Uop.t) =
-  List.fold_left (fun acc r -> max acc (ready t r)) 0 u.Uop.srcs
+let rec src_ready_cycle t acc srcs =
+  match srcs with
+  | [] -> acc
+  | r :: rest -> src_ready_cycle t (max acc (ready t r)) rest
 
 (* memory-unit occupancy: loads and stores contend for the port;
    wait/signal issue from the store queue for ordering but ride their own
@@ -84,44 +92,44 @@ let is_mem (u : Uop.t) =
       true
   | _ -> false
 
-(* Attempt to issue [u] at [cycle].  Returns [`Issued], or [`Stall b]
-   attributing the blockage. *)
+(* Attempt to issue [u] at [cycle].  Returns [Stats.Busy] when it issued,
+   otherwise the bucket the blockage is attributed to. *)
 let try_issue t (u : Uop.t) cycle =
   t.ne_attempt <- cycle;
   t.ne_retry <- false;
-  if cycle < t.fetch_avail then `Stall Stats.Pipeline
-  else if not (srcs_ready t u cycle) then
+  if cycle < t.fetch_avail then Stats.Pipeline
+  else if not (srcs_ready t u.Uop.srcs cycle) then
     (* blocked on an in-flight producer; attribute to memory if the
        producer is a load still outstanding through the cache port *)
-    if src_ready_cycle t u > cycle && t.mem_busy_until > cycle then
-      `Stall Stats.Mem_stall
-    else `Stall Stats.Pipeline
-  else if is_mem u && cycle < t.mem_busy_until then `Stall Stats.Mem_stall
+    if src_ready_cycle t 0 u.Uop.srcs > cycle && t.mem_busy_until > cycle
+    then Stats.Mem_stall
+    else Stats.Pipeline
+  else if is_mem u && cycle < t.mem_busy_until then Stats.Mem_stall
   else begin
     match u.Uop.kind with
     | Uop.Alu lat ->
         set_dst t u (cycle + lat);
         Stats.retire t.stats;
-        `Issued
+        Stats.Busy
     | Uop.Branch { taken; static_id } ->
         let mis = Branch_pred.predict_update t.predictor ~static_id ~taken in
         if mis then t.fetch_avail <- cycle + 1 + t.cfg.Mach_config.branch_penalty;
         Stats.retire t.stats;
-        `Issued
+        Stats.Busy
     | Uop.Load_priv addr ->
         let lat = t.supply.Core_model.sup_mem ~cycle ~write:false ~addr in
         set_dst t u (cycle + lat);
         (* cache hits are pipelined; only misses block the port *)
         t.mem_busy_until <- (cycle + if lat <= 4 then 1 else lat);
         Stats.retire t.stats;
-        `Issued
+        Stats.Busy
     | Uop.Store_priv addr ->
         (* retire through a write buffer: charge the cache state change,
            hide the latency, occupy the port for one cycle *)
         ignore (t.supply.Core_model.sup_mem ~cycle ~write:true ~addr);
         t.mem_busy_until <- cycle + 1;
         Stats.retire t.stats;
-        `Issued
+        Stats.Busy
     | Uop.Shared op -> begin
         match t.supply.Core_model.sup_shared ~cycle ~tag:u.Uop.meta op with
         | Uop.Sh_done { latency; value } ->
@@ -141,16 +149,13 @@ let try_issue t (u : Uop.t) cycle =
                 t.stats.Stats.retired_sync <- t.stats.Stats.retired_sync + 1
             | Uop.S_flush -> ());
             Stats.retire t.stats;
-            `Issued
+            Stats.Busy
         | Uop.Sh_retry ->
             t.ne_retry <- true;
-            let bucket =
-              match op with
-              | Uop.S_wait _ -> Stats.Dep_wait
-              | Uop.S_load _ | Uop.S_store _ | Uop.S_signal _ | Uop.S_flush ->
-                  Stats.Communication
-            in
-            `Stall bucket
+            match op with
+            | Uop.S_wait _ -> Stats.Dep_wait
+            | Uop.S_load _ | Uop.S_store _ | Uop.S_signal _ | Uop.S_flush ->
+                Stats.Communication
       end
   end
 
@@ -166,35 +171,31 @@ let tick t cycle =
     | None -> ());
   let issued = ref 0 in
   let only_sync = ref true in
-  let stall = ref None in
+  (* the blockage of the first uop that could not issue; [Pipeline] when
+     the loop never ran (zero width) *)
+  let stall = ref Stats.Pipeline in
   let continue_ = ref true in
   while !continue_ && !issued < t.cfg.Mach_config.width do
-    let next =
-      match t.pending with
-      | Some u -> Some u
-      | None ->
-          let u = t.supply.Core_model.sup_next () in
-          t.pending <- u;
-          u
-    in
-    match next with
+    (match t.pending with
+    | None -> t.pending <- t.supply.Core_model.sup_next ()
+    | Some _ -> ());
+    match t.pending with
     | None ->
-        if !issued = 0 then stall := Some Stats.Idle;
+        if !issued = 0 then stall := Stats.Idle;
         continue_ := false
-    | Some u -> begin
+    | Some u -> (
         match try_issue t u cycle with
-        | `Issued ->
+        | Stats.Busy ->
             t.pending <- None;
             incr issued;
             if not (Uop.is_sync u) then only_sync := false
-        | `Stall b ->
-            if !issued = 0 then stall := Some b;
-            continue_ := false
-      end
+        | b ->
+            if !issued = 0 then stall := b;
+            continue_ := false)
   done;
   let bucket =
     if !issued > 0 then if !only_sync then Stats.Sync_instr else Stats.Busy
-    else match !stall with Some b -> b | None -> Stats.Pipeline
+    else !stall
   in
   t.last_stall <- bucket;
   t.ne_full <- !issued >= t.cfg.Mach_config.width;
@@ -204,7 +205,7 @@ let tick t cycle =
      the next iteration.  The supply can often certify settledness
      directly ([sup_settled]); otherwise only two consecutive
      idle-ending ticks prove it (further pulls are pure). *)
-  (if t.pending = None && not t.ne_full then
+  (if Option.is_none t.pending && not t.ne_full then
      if t.supply.Core_model.sup_settled () then t.ne_idle_ticks <- 2
      else t.ne_idle_ticks <- (if !issued > 0 then 1 else t.ne_idle_ticks + 1)
    else t.ne_idle_ticks <- 0);
@@ -218,9 +219,9 @@ let tick t cycle =
    the fall-through arm for issuable non-shared uops is unreachable. *)
 let stall_bucket t (u : Uop.t) cycle =
   if cycle < t.fetch_avail then Stats.Pipeline
-  else if not (srcs_ready t u cycle) then
-    if src_ready_cycle t u > cycle && t.mem_busy_until > cycle then
-      Stats.Mem_stall
+  else if not (srcs_ready t u.Uop.srcs cycle) then
+    if src_ready_cycle t 0 u.Uop.srcs > cycle && t.mem_busy_until > cycle
+    then Stats.Mem_stall
     else Stats.Pipeline
   else if is_mem u && cycle < t.mem_busy_until then Stats.Mem_stall
   else
@@ -229,36 +230,36 @@ let stall_bucket t (u : Uop.t) cycle =
     | Uop.Shared _ -> Stats.Communication
     | _ -> Stats.Pipeline
 
+(* [c] if it is a candidate wake-up cycle earlier than [w], else [w]. *)
+let[@inline] earliest ~now c w = if c >= now && c < w then c else w
+
 (* Earliest future cycle at which this core could change state on its
-   own; [Some now] = active (do not skip); [None] = purely reactive
-   (blocked on the shared world: only executor/ring events unblock it,
-   and those components publish their own wake-ups). *)
+   own; [now] = active (do not skip); [Engine.never] (= [max_int]) =
+   purely reactive (blocked on the shared world: only executor/ring
+   events unblock it, and those components publish their own
+   wake-ups). *)
 let next_event t ~now =
   if t.ne_full then
     (* the last tick ended at the issue-width limit, so the state of the
        uop supply beyond it is unknown: assume active *)
-    Some now
+    now
   else
     match t.pending with
     | None ->
         (* idle is only provably stable after two consecutive
            fruitless-pull ticks (see the tick epilogue) *)
-        if t.ne_idle_ticks >= 2 then None else Some now
+        if t.ne_idle_ticks >= 2 then max_int else now
     | Some u ->
         if t.ne_attempt <> now - 1 then
           (* the pending uop was fetched after this core's tick (the
              scheduler's quiescence probe pulls from the supply): it has
              never been attempted, so no stall proof exists yet *)
-          Some now
+          now
         else begin
-          let w = ref max_int in
-          let add c = if c >= now && c < !w then w := c in
-          add t.fetch_avail;
-          add (src_ready_cycle t u);
-          add t.mem_busy_until;
-          if !w < max_int then Some !w
-          else if t.ne_retry then None
-          else Some now
+          let w = earliest ~now t.fetch_avail max_int in
+          let w = earliest ~now (src_ready_cycle t 0 u.Uop.srcs) w in
+          let w = earliest ~now t.mem_busy_until w in
+          if w < max_int then w else if t.ne_retry then max_int else now
         end
 
 (* Account for [cycles] skipped cycles starting at [now]: the ticks the

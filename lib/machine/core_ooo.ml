@@ -25,9 +25,12 @@ type t = {
   supply : Core_model.supply;
   stats : Stats.t;
   predictor : Branch_pred.t;
-  reg_ready : (int, int) Hashtbl.t;        (* committed producers *)
-  reg_writer : (int, entry) Hashtbl.t;     (* latest in-window writer *)
-  mutable window : entry list;             (* oldest first *)
+  (* both indexed by register token; grown together on demand *)
+  mutable reg_ready : int array;           (* committed producers *)
+  mutable reg_writer : entry array;        (* latest writer, or [no_entry] *)
+  (* the window: a FIFO ring buffer, oldest first from [head] *)
+  window : entry array;
+  mutable head : int;
   mutable window_size : int;
   mutable next_seq : int;
   mutable fetch_avail : int;
@@ -40,15 +43,32 @@ type t = {
   mutable ne_idle_ticks : int;    (* consecutive empty-pull ticks *)
 }
 
+(* Placeholder for "no in-window writer" and for empty window slots.  It
+   counts as committed, which is exactly how a register whose writer has
+   left the window behaves. *)
+let no_entry =
+  {
+    u = Uop.mk (Uop.Alu 0);
+    seq = -1;
+    issued = true;
+    completion = 0;
+    committed = true;
+    deps = [];
+    fallback_srcs = [];
+    order_dep = None;
+    mispredicted = false;
+  }
+
 let create ?retired_sink cfg supply =
   {
     cfg;
     supply;
     stats = Stats.create ?retired_sink ();
     predictor = Branch_pred.create ();
-    reg_ready = Hashtbl.create 64;
-    reg_writer = Hashtbl.create 64;
-    window = [];
+    reg_ready = Array.make 64 0;
+    reg_writer = Array.make 64 no_entry;
+    window = Array.make (max 1 cfg.Mach_config.window) no_entry;
+    head = 0;
     window_size = 0;
     next_seq = 0;
     fetch_avail = 0;
@@ -60,11 +80,54 @@ let create ?retired_sink cfg supply =
     ne_idle_ticks = 0;
   }
 
-let reg_ready_at t r = try Hashtbl.find t.reg_ready r with Not_found -> 0
+(* The [i]-th oldest window entry. *)
+let[@inline] nth t i =
+  let j = t.head + i in
+  let cap = Array.length t.window in
+  Array.unsafe_get t.window (if j >= cap then j - cap else j)
+
+let push t e =
+  let cap = Array.length t.window in
+  let j = t.head + t.window_size in
+  t.window.(if j >= cap then j - cap else j) <- e;
+  t.window_size <- t.window_size + 1
+
+let pop t =
+  t.window.(t.head) <- no_entry;
+  t.head <- (if t.head + 1 = Array.length t.window then 0 else t.head + 1);
+  t.window_size <- t.window_size - 1
+
+let reg_ready_at t r =
+  if r < Array.length t.reg_ready then Array.unsafe_get t.reg_ready r else 0
+
+let writer t r =
+  if r < Array.length t.reg_writer then Array.unsafe_get t.reg_writer r
+  else no_entry
+
+let set_writer t d e =
+  let n = Array.length t.reg_writer in
+  if d >= n then begin
+    let n' = max (d + 1) (2 * n) in
+    let rr = Array.make n' 0 and rw = Array.make n' no_entry in
+    Array.blit t.reg_ready 0 rr 0 n;
+    Array.blit t.reg_writer 0 rw 0 n;
+    t.reg_ready <- rr;
+    t.reg_writer <- rw
+  end;
+  t.reg_writer.(d) <- e
+
+let rec deps_done deps cycle =
+  match deps with
+  | [] -> true
+  | d :: rest -> d.issued && d.completion <= cycle && deps_done rest cycle
+
+let rec fallback_ready t srcs cycle =
+  match srcs with
+  | [] -> true
+  | r :: rest -> reg_ready_at t r <= cycle && fallback_ready t rest cycle
 
 let srcs_ready t (e : entry) cycle =
-  List.for_all (fun d -> d.issued && d.completion <= cycle) e.deps
-  && List.for_all (fun r -> reg_ready_at t r <= cycle) e.fallback_srcs
+  deps_done e.deps cycle && fallback_ready t e.fallback_srcs cycle
 
 let order_ok (e : entry) =
   match e.order_dep with None -> true | Some d -> d.issued
@@ -74,8 +137,17 @@ let is_store_like (u : Uop.t) =
   | Uop.Store_priv _ | Uop.Shared _ -> true
   | _ -> false
 
-let is_head t (e : entry) =
-  match t.window with e0 :: _ -> e0 == e | [] -> false
+let is_head t (e : entry) = t.window_size > 0 && nth t 0 == e
+
+(* Split a uop's sources into in-window producers and registers read
+   from committed state, both in reverse source order. *)
+let rec split_srcs t srcs ds fb =
+  match srcs with
+  | [] -> (ds, fb)
+  | r :: rest ->
+      let e = writer t r in
+      if not e.committed then split_srcs t rest (e :: ds) fb
+      else split_srcs t rest ds (r :: fb)
 
 (* -- dispatch -------------------------------------------------------- *)
 
@@ -94,14 +166,7 @@ let dispatch t cycle =
         t.ne_supply_none <- true;
         continue_ := false
     | Some u ->
-        let deps, fallback =
-          List.fold_left
-            (fun (ds, fb) r ->
-              match Hashtbl.find_opt t.reg_writer r with
-              | Some e when not e.committed -> (e :: ds, fb)
-              | _ -> (ds, r :: fb))
-            ([], []) u.Uop.srcs
-        in
+        let deps, fallback = split_srcs t u.Uop.srcs [] [] in
         let mispredicted =
           match u.Uop.kind with
           | Uop.Branch { taken; static_id } ->
@@ -128,13 +193,10 @@ let dispatch t cycle =
           }
         in
         t.next_seq <- t.next_seq + 1;
-        (match u.Uop.dst with
-        | Some d -> Hashtbl.replace t.reg_writer d e
-        | None -> ());
+        (match u.Uop.dst with Some d -> set_writer t d e | None -> ());
         if is_store_like u then t.last_mem_order <- Some e;
         if mispredicted then t.blocking_branch <- Some e;
-        t.window <- t.window @ [ e ];
-        t.window_size <- t.window_size + 1;
+        push t e;
         incr n
   done;
   !n
@@ -186,58 +248,53 @@ let try_issue t e cycle =
 
 let issue t cycle =
   let ports = ref t.cfg.Mach_config.width in
-  List.iter
-    (fun e ->
-      if
-        !ports > 0 && (not e.issued)
-        && srcs_ready t e cycle
-        && order_ok e
-      then
-        if try_issue t e cycle then begin
-          decr ports;
-          (* resolve a blocking mispredicted branch *)
-          if e.mispredicted then begin
-            t.fetch_avail <- e.completion + t.cfg.Mach_config.branch_penalty;
-            match t.blocking_branch with
-            | Some b when b == e -> t.blocking_branch <- None
-            | _ -> ()
-          end
-        end)
-    t.window;
+  for i = 0 to t.window_size - 1 do
+    let e = nth t i in
+    if
+      !ports > 0 && (not e.issued)
+      && srcs_ready t e cycle
+      && order_ok e
+    then
+      if try_issue t e cycle then begin
+        decr ports;
+        (* resolve a blocking mispredicted branch *)
+        if e.mispredicted then begin
+          t.fetch_avail <- e.completion + t.cfg.Mach_config.branch_penalty;
+          match t.blocking_branch with
+          | Some b when b == e -> t.blocking_branch <- None
+          | _ -> ()
+        end
+      end
+  done;
   t.cfg.Mach_config.width - !ports
 
 (* -- commit ---------------------------------------------------------- *)
 
 let commit t cycle =
   let n = ref 0 in
-  let rec go () =
-    match t.window with
-    | e :: rest
-      when !n < t.cfg.Mach_config.width && e.issued && e.completion <= cycle
-      -> begin
-        e.committed <- true;
-        t.window <- rest;
-        t.window_size <- t.window_size - 1;
-        incr n;
-        Stats.retire t.stats;
-        if Uop.is_sync e.u then
-          t.stats.Stats.retired_sync <- t.stats.Stats.retired_sync + 1;
-        (match e.u.Uop.dst with
-        | Some d ->
-            Hashtbl.replace t.reg_ready d e.completion;
-            (match Hashtbl.find_opt t.reg_writer d with
-            | Some w when w == e -> Hashtbl.remove t.reg_writer d
-            | _ -> ());
-            ()
-        | None -> ());
-        (match t.last_mem_order with
-        | Some m when m == e -> t.last_mem_order <- None
-        | _ -> ());
-        go ()
-      end
+  while
+    !n < t.cfg.Mach_config.width
+    && t.window_size > 0
+    && (let e = nth t 0 in
+        e.issued && e.completion <= cycle)
+  do
+    let e = nth t 0 in
+    e.committed <- true;
+    pop t;
+    incr n;
+    Stats.retire t.stats;
+    if Uop.is_sync e.u then
+      t.stats.Stats.retired_sync <- t.stats.Stats.retired_sync + 1;
+    (match e.u.Uop.dst with
+    | Some d ->
+        (* every token with a writer has a [reg_ready] slot *)
+        t.reg_ready.(d) <- e.completion;
+        if t.reg_writer.(d) == e then t.reg_writer.(d) <- no_entry
+    | None -> ());
+    match t.last_mem_order with
+    | Some m when m == e -> t.last_mem_order <- None
     | _ -> ()
-  in
-  go ();
+  done;
   !n
 
 (* -- one clock ------------------------------------------------------- *)
@@ -246,9 +303,10 @@ let commit t cycle =
    cycle: read off the window head.  Shared with [skip], which charges
    the same (frozen) state for every elided cycle. *)
 let stall_bucket t =
-  match t.window with
-  | [] -> Stats.Idle
-  | e :: _ -> begin
+  if t.window_size = 0 then Stats.Idle
+  else
+    let e = nth t 0 in
+    begin
       match (e.u.Uop.kind, e.issued) with
       | Uop.Shared (Uop.S_wait _), false -> Stats.Dep_wait
       | Uop.Shared _, false -> Stats.Communication
@@ -277,10 +335,12 @@ let tick t cycle =
   let bucket =
     if issued > 0 || committed > 0 then begin
       (* busy unless purely synchronization is flowing *)
-      let only_sync =
-        t.window <> []
-        && List.for_all (fun e -> (not e.issued) || Uop.is_sync e.u) t.window
-      in
+      let only_sync = ref (t.window_size > 0) in
+      for i = 0 to t.window_size - 1 do
+        let e = nth t i in
+        if e.issued && not (Uop.is_sync e.u) then only_sync := false
+      done;
+      let only_sync = !only_sync in
       if only_sync && issued > 0 then Stats.Sync_instr else Stats.Busy
     end
     else stall_bucket t
@@ -295,8 +355,14 @@ let tick t cycle =
    unissued entries' committed-register ready times.  Entries blocked
    only on the shared world contribute nothing: the executor and ring
    publish those wake-ups themselves. *)
+let rec earliest_reg t ~now w = function
+  | [] -> w
+  | r :: rest ->
+      let c = reg_ready_at t r in
+      earliest_reg t ~now (if c >= now && c < w then c else w) rest
+
 let next_event t ~now =
-  if t.ne_progress || t.ne_poked then Some now
+  if t.ne_progress || t.ne_poked then now
   else if
     (* dispatch is unblocked but the supply is not provably settled: the
        very next pull may yield uops (or advance iteration scheduling) *)
@@ -304,23 +370,24 @@ let next_event t ~now =
     && t.window_size < t.cfg.Mach_config.window
     && now >= t.fetch_avail
     && t.blocking_branch = None
-  then Some now
+  then now
   else begin
-    let w = ref max_int in
-    let add c = if c >= now && c < !w then w := c in
-    add t.fetch_avail;
-    List.iter
-      (fun e ->
-        if e.issued then (if e.completion < max_int then add e.completion)
-        else List.iter (fun r -> add (reg_ready_at t r)) e.fallback_srcs)
-      t.window;
-    if !w < max_int then Some !w else None
+    let w = ref (if t.fetch_avail >= now then t.fetch_avail else max_int) in
+    for i = 0 to t.window_size - 1 do
+      let e = nth t i in
+      if e.issued then begin
+        let c = e.completion in
+        if c < max_int && c >= now && c < !w then w := c
+      end
+      else w := earliest_reg t ~now !w e.fallback_srcs
+    done;
+    !w
   end
 
 let skip t ~now:_ ~cycles = Stats.charge_n t.stats (stall_bucket t) cycles
 
 let quiescent t =
-  t.window = []
+  t.window_size = 0
   &&
   match t.supply.Core_model.sup_next () with
   | None -> true
@@ -340,12 +407,9 @@ let quiescent t =
         }
       in
       t.next_seq <- t.next_seq + 1;
-      (match u.Uop.dst with
-      | Some d -> Hashtbl.replace t.reg_writer d e
-      | None -> ());
+      (match u.Uop.dst with Some d -> set_writer t d e | None -> ());
       if is_store_like u then t.last_mem_order <- Some e;
-      t.window <- [ e ];
-      t.window_size <- 1;
+      push t e;
       (* the probe ran after this core's tick: the new entry has never
          been attempted, so the engine must not fast-forward past it *)
       t.ne_poked <- true;
@@ -355,14 +419,12 @@ let stats t = t.stats
 
 (* Diagnostic snapshot of the window head, for deadlock reports. *)
 let describe t =
-  match t.window with
-  | [] -> "window empty"
-  | entries ->
+  if t.window_size = 0 then "window empty"
+  else
       String.concat " | "
-        (List.map
-           (fun e ->
+        (List.init t.window_size (fun i ->
+             let e = nth t i in
              Format.asprintf "%a%s" Uop.pp e.u
-               (if e.issued then "!" else "?"))
-           entries)
+               (if e.issued then "!" else "?")))
       ^ Printf.sprintf " (fetch_avail=%d blocked=%b)" t.fetch_avail
         (t.blocking_branch <> None)

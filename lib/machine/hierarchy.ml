@@ -124,7 +124,3 @@ let export_metrics t (m : Helix_obs.Metrics.t) =
         (Printf.sprintf "hier.l1.%d.hit_rate" core)
         (Cache.hit_rate l1))
     t.l1s
-
-(* The hierarchy is purely passive (see the .mli): all latencies are
-   charged at access time, so it never schedules its own wake-up. *)
-let next_event _t ~now:_ = None

@@ -20,12 +20,6 @@ val owner_l1_access : t -> core:int -> cycle:int -> write:bool -> int -> int
 val l1_hit_rate : t -> int -> float
 val c2c_transfers : t -> int
 
-val next_event : t -> now:int -> int option
-(** Event-engine contract.  The hierarchy (caches, directory, DRAM) is
-    purely passive: every latency is charged synchronously at [access]
-    time against the requesting core's clock, so it holds no pending
-    state of its own and never wakes up by itself — always [None]. *)
-
 val export_metrics : t -> Helix_obs.Metrics.t -> unit
 (** Publish directory/L2 counters and per-core L1 hit rates under
     ["hier."]. *)

@@ -28,13 +28,26 @@ let bucket_name = function
   | Pipeline -> "pipeline"
   | Idle -> "idle"
 
+(* Explicit dense index of each bucket, the slot it occupies in
+   [by_bucket]. *)
+let bucket_index = function
+  | Busy -> 0
+  | Sync_instr -> 1
+  | Dep_wait -> 2
+  | Communication -> 3
+  | Mem_stall -> 4
+  | Pipeline -> 5
+  | Idle -> 6
+
+let n_buckets = 7
+
 type t = {
   mutable cycles : int;
   mutable retired : int;
   mutable retired_sync : int;    (* wait+signal instructions retired *)
   mutable shared_loads : int;
   mutable shared_stores : int;
-  by_bucket : (bucket, int) Hashtbl.t;
+  by_bucket : int array;         (* cycles per [bucket_index] *)
   retired_sink : int ref;
       (* shared monotonic retirement counter, bumped on every [retire];
          lets the executor's watchdog observe aggregate progress without
@@ -48,14 +61,14 @@ let create ?(retired_sink = ref 0) () =
     retired_sync = 0;
     shared_loads = 0;
     shared_stores = 0;
-    by_bucket = Hashtbl.create 7;
+    by_bucket = Array.make n_buckets 0;
     retired_sink;
   }
 
 let charge t bucket =
   t.cycles <- t.cycles + 1;
-  Hashtbl.replace t.by_bucket bucket
-    (1 + (try Hashtbl.find t.by_bucket bucket with Not_found -> 0))
+  let i = bucket_index bucket in
+  t.by_bucket.(i) <- t.by_bucket.(i) + 1
 
 (* Charge [n] cycles to [bucket] at once: what a run of identical
    per-cycle [charge] calls would record.  Used by the event engine when
@@ -63,15 +76,15 @@ let charge t bucket =
 let charge_n t bucket n =
   if n > 0 then begin
     t.cycles <- t.cycles + n;
-    Hashtbl.replace t.by_bucket bucket
-      (n + (try Hashtbl.find t.by_bucket bucket with Not_found -> 0))
+    let i = bucket_index bucket in
+    t.by_bucket.(i) <- t.by_bucket.(i) + n
   end
 
 let retire t =
   t.retired <- t.retired + 1;
   incr t.retired_sink
 
-let get t bucket = try Hashtbl.find t.by_bucket bucket with Not_found -> 0
+let get t bucket = t.by_bucket.(bucket_index bucket)
 
 let merge (ts : t list) =
   let m = create () in
@@ -82,12 +95,8 @@ let merge (ts : t list) =
       m.retired_sync <- m.retired_sync + t.retired_sync;
       m.shared_loads <- m.shared_loads + t.shared_loads;
       m.shared_stores <- m.shared_stores + t.shared_stores;
-      List.iter
-        (fun b ->
-          let v = get t b in
-          if v > 0 then
-            Hashtbl.replace m.by_bucket b (v + get m b))
-        all_buckets)
+      Array.iteri (fun i v -> m.by_bucket.(i) <- m.by_bucket.(i) + v)
+        t.by_bucket)
     ts;
   m
 

@@ -13,13 +13,16 @@ type bucket =
 val all_buckets : bucket list
 val bucket_name : bucket -> string
 
+val bucket_index : bucket -> int
+(** Dense index of a bucket in [0, 7): its slot in [by_bucket]. *)
+
 type t = {
   mutable cycles : int;
   mutable retired : int;
   mutable retired_sync : int;
   mutable shared_loads : int;
   mutable shared_stores : int;
-  by_bucket : (bucket, int) Hashtbl.t;
+  by_bucket : int array;  (** cycles per {!bucket_index} *)
   retired_sink : int ref;
 }
 

@@ -103,6 +103,72 @@ let check_identical (l : Executor.result) (e : Executor.result) =
     (Helix_ir.Memory.equal l.Executor.r_mem e.Executor.r_mem);
   check_metrics_equal l.Executor.r_metrics e.Executor.r_metrics
 
+(* ---- golden digests ---------------------------------------------------- *)
+
+(* Every differential case also records a digest of its result: cycles,
+   return value, retired count, the memory-image hash, per-core cycle
+   buckets, invocation records and every metric except ["engine.*"].  At
+   exit the digests are written, sorted by case name, to
+   [engine-digests.actual], which the test's dune action diffs against
+   [golden/engine-digests.expected]: the cross-engine check above cannot
+   see a modelling drift both engines share, this file can.  Accept a
+   deliberate change by copying the new file over the golden one, with a
+   CHANGES.md note naming the figures that moved. *)
+
+let digests : (string, string) Hashtbl.t = Hashtbl.create 64
+
+let metric_repr = function
+  | Helix_obs.Metrics.Int i -> string_of_int i
+  | Helix_obs.Metrics.Float f -> Printf.sprintf "%h" f
+  | Helix_obs.Metrics.Hist a ->
+      String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let digest_of (r : Executor.result) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  Array.iteri
+    (fun i (s : Stats.t) ->
+      add "core %d %d %d" i s.Stats.cycles s.Stats.retired;
+      List.iter (fun bk -> add " %d" (Stats.get s bk)) Stats.all_buckets;
+      add "\n")
+    r.Executor.r_core_stats;
+  List.iter
+    (fun (v : Executor.invocation_record) ->
+      add "inv %d %d %d\n" v.Executor.inv_loop v.Executor.inv_trip
+        v.Executor.inv_cycles)
+    r.Executor.r_invocations;
+  List.iter
+    (fun n ->
+      if not (engine_metric n) then
+        match Helix_obs.Metrics.find r.Executor.r_metrics n with
+        | Some v -> add "%s=%s\n" n (metric_repr v)
+        | None -> ())
+    (Helix_obs.Metrics.names r.Executor.r_metrics);
+  Printf.sprintf "cycles=%d ret=%s retired=%d serial=%d parallel=%d inv=%d mem=%x md5=%s"
+    r.Executor.r_cycles
+    (match r.Executor.r_ret with Some v -> string_of_int v | None -> "none")
+    r.Executor.r_retired r.Executor.r_serial_cycles
+    r.Executor.r_parallel_cycles
+    (List.length r.Executor.r_invocations)
+    (Helix_ir.Memory.hash r.Executor.r_mem)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let record_digest name r = Hashtbl.replace digests name (digest_of r)
+
+let () =
+  (* a file left by an earlier run must never stand in for this one *)
+  (try Sys.remove "engine-digests.actual" with Sys_error _ -> ());
+  at_exit (fun () ->
+      if Hashtbl.length digests > 0 then begin
+        let lines =
+          Hashtbl.fold (fun k v acc -> (k ^ "\t" ^ v) :: acc) digests []
+        in
+        let oc = open_out "engine-digests.actual" in
+        List.iter (fun l -> output_string oc (l ^ "\n"))
+          (List.sort compare lines);
+        close_out oc
+      end)
+
 (* [check_identical] plus: the fast side really ran the engine kind the
    test asked for (0 = legacy, 1 = event). *)
 let check_identical_kind ~kind (l : Executor.result) (e : Executor.result) =
@@ -146,12 +212,12 @@ let differential_tests =
     (fun (wl : Workload.t) ->
       List.map
         (fun (cfg_name, cfg) ->
-          tc
-            (Printf.sprintf "%s / %s" wl.Workload.name cfg_name)
-            (fun () ->
+          let name = Printf.sprintf "%s / %s" wl.Workload.name cfg_name in
+          tc name (fun () ->
               let l = run_with ~engine:Engine.Legacy ~cfg wl in
               let e = run_with ~engine:Engine.Event ~cfg wl in
-              check_identical_kind ~kind:1 l e))
+              check_identical_kind ~kind:1 l e;
+              record_digest name l))
         configs)
     Registry.all
 
@@ -164,10 +230,10 @@ let ooo_tests =
           let wl =
             List.find (fun w -> w.Workload.name = wl_name) Registry.all
           in
-          tc
-            (Printf.sprintf "%s / ooo width %d" wl_name
-               core.Mach_config.width)
-            (fun () ->
+          let name =
+            Printf.sprintf "%s / ooo width %d" wl_name core.Mach_config.width
+          in
+          tc name (fun () ->
               let mach = { Mach_config.default with Mach_config.core } in
               let cfg =
                 Executor.default_config ~ring:true
@@ -175,7 +241,8 @@ let ooo_tests =
               in
               let l = run_with ~engine:Engine.Legacy ~cfg wl in
               let e = run_with ~engine:Engine.Event ~cfg wl in
-              check_identical_kind ~kind:1 l e))
+              check_identical_kind ~kind:1 l e;
+              record_digest name l))
         [ "164.gzip"; "197.parser" ])
     [ Mach_config.ooo2_core; Mach_config.ooo4_core ]
 
@@ -258,7 +325,7 @@ let pulse ~name ~(log : Buffer.t) fires =
         | _ -> ());
     cp_next_event =
       (fun ~now ->
-        match !remaining with [] -> None | c :: _ -> Some (max c now));
+        match !remaining with [] -> Engine.never | c :: _ -> max c now);
     cp_skip = (fun ~now:_ ~cycles:_ -> ());
   }
 
@@ -305,9 +372,9 @@ let synthetic_tests =
                   end);
               cp_next_event =
                 (fun ~now ->
-                  if !fired then None
-                  else if now < 60 then Some 100
-                  else Some 150);
+                  if !fired then Engine.never
+                  else if now < 60 then 100
+                  else 150);
               cp_skip = (fun ~now:_ ~cycles:_ -> ());
             };
           Engine.register eng (pulse ~name:"beat" ~log [ 10; 300 ]);
@@ -340,7 +407,7 @@ let synthetic_tests =
                   | _ -> ());
               cp_next_event =
                 (fun ~now ->
-                  match !poked with Some c -> Some (max c now) | None -> None);
+                  match !poked with Some c -> max c now | None -> Engine.never);
               cp_skip = (fun ~now:_ ~cycles:_ -> ());
             };
           let w_fires = ref [ 40 ] in
@@ -357,7 +424,7 @@ let synthetic_tests =
                   | _ -> ());
               cp_next_event =
                 (fun ~now ->
-                  match !w_fires with [] -> None | c :: _ -> Some (max c now));
+                  match !w_fires with [] -> Engine.never | c :: _ -> max c now);
               cp_skip = (fun ~now:_ ~cycles:_ -> ());
             };
           Engine.register eng (pulse ~name:"beat" ~log [ 200 ]);

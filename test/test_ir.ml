@@ -467,6 +467,130 @@ let prop_journal_rollback =
       in
       touched_ok && olds_ok && restored && emptied && closed_records_nothing)
 
+(* Model test of the paged image against a plain table of non-zero
+   bindings.  Addresses mix page-crossing low words, negative words and
+   words at and beyond 2^30 (the overflow table); a third of the stored
+   values are zero, so bindings get erased.  Every load is checked as it
+   happens; at the end the image must be [equal] to one rebuilt from the
+   model in another order, hash to the model's content hash (the
+   formula the oracle has always used), and survive [copy]; journal
+   operations are checked against a model journal. *)
+type mem_op =
+  | M_store of int * int
+  | M_load of int
+  | M_open
+  | M_rollback
+  | M_close
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  (* a word just below 2^30 grows the page directory to 2^20 entries, so
+     only one case in five reaches there *)
+  frequency [ (4, return 0); (1, return 1) ] >>= fun near_limit ->
+  let addr =
+    frequency
+      [
+        (4, int_range 0 3100);
+        (1, int_range (-3000) (-1));
+        (near_limit, int_range ((1 lsl 30) - 4) ((1 lsl 30) + 4));
+        (1, int_range (1 lsl 30) ((1 lsl 30) + 4));
+        (1, map (fun k -> max_int - k) (int_range 0 3));
+        (1, map (fun k -> min_int + k) (int_range 0 3));
+      ]
+  in
+  list_size (int_range 0 120)
+    (frequency
+       [
+         (8, map2 (fun a v -> M_store (a, v)) addr (int_range 0 2));
+         (4, map (fun a -> M_load a) addr);
+         (1, return M_open);
+         (1, return M_rollback);
+         (1, return M_close);
+       ])
+
+let show_mem_op = function
+  | M_store (a, v) -> Printf.sprintf "store %d %d" a v
+  | M_load a -> Printf.sprintf "load %d" a
+  | M_open -> "open"
+  | M_rollback -> "rollback"
+  | M_close -> "close"
+
+let prop_paged_memory_model =
+  QCheck.Test.make ~name:"paged memory agrees with a table model" ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       gen_mem_ops)
+    (fun ops ->
+      let m = Memory.create () in
+      let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let mload a = Option.value ~default:0 (Hashtbl.find_opt model a) in
+      let mset a v =
+        if v = 0 then Hashtbl.remove model a else Hashtbl.replace model a v
+      in
+      let mjournal : (int, int) Hashtbl.t option ref = ref None in
+      let journal_agrees () =
+        let got = ref [] in
+        Memory.iter_journal m (fun a old -> got := (a, old) :: !got);
+        let want =
+          match !mjournal with
+          | None -> []
+          | Some j -> Hashtbl.fold (fun a old acc -> (a, old) :: acc) j []
+        in
+        List.sort compare !got = List.sort compare want
+      in
+      let step = function
+        | M_store (a, v) ->
+            (match !mjournal with
+            | Some j when not (Hashtbl.mem j a) -> Hashtbl.add j a (mload a)
+            | _ -> ());
+            mset a v;
+            Memory.store m a v;
+            Memory.load m a = v
+        | M_load a -> Memory.load m a = mload a
+        | M_open ->
+            mjournal := Some (Hashtbl.create 8);
+            Memory.open_journal m;
+            true
+        | M_close ->
+            mjournal := None;
+            Memory.close_journal m;
+            true
+        | M_rollback -> (
+            match !mjournal with
+            | None -> (
+                match Memory.rollback m with
+                | () -> false
+                | exception Invalid_argument _ -> true)
+            | Some j ->
+                Hashtbl.iter mset j;
+                Hashtbl.reset j;
+                Memory.rollback m;
+                true)
+      in
+      let ops_ok = List.for_all (fun op -> step op && journal_agrees ()) ops in
+      let rebuilt = Memory.create () in
+      List.iter
+        (fun (a, v) -> Memory.store rebuilt a v)
+        (List.sort compare (Hashtbl.fold (fun a v acc -> (a, v) :: acc) model []));
+      let model_hash =
+        Hashtbl.fold
+          (fun a v acc -> acc lxor (Hashtbl.hash (a, v) * 0x9e3779b1))
+          model 0
+      in
+      let c = Memory.copy m in
+      let all_loads_ok =
+        Hashtbl.fold (fun a v ok -> ok && Memory.load m a = v) model true
+      in
+      let differs =
+        Memory.store c 7 (Memory.load m 7 + 1);
+        (not (Memory.equal m c)) && Memory.load m 7 = mload 7
+      in
+      ops_ok && all_loads_ok
+      && Memory.equal m rebuilt && Memory.equal rebuilt m
+      && Memory.hash m = model_hash
+      && Memory.hash rebuilt = model_hash
+      && differs)
+
 let prop_layout_site_lookup =
   QCheck.Test.make ~name:"layout site lookup agrees with region bounds"
     ~count:100
@@ -486,7 +610,8 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_interp_matches_eval; prop_isqrt; prop_memory_copy_equal;
-      prop_journal_rollback; prop_layout_site_lookup;
+      prop_journal_rollback; prop_paged_memory_model;
+      prop_layout_site_lookup;
     ]
 
 (* ---- pretty printing ------------------------------------------------- *)

@@ -176,7 +176,7 @@ let run_core kind width uops =
     | `In_order -> { Mach_config.atom_core with Mach_config.width }
     | `Ooo -> { Mach_config.ooo2_core with Mach_config.width }
   in
-  let core = Core.create cfg supply in
+  let core = Core.create ~id:0 cfg supply in
   let cycles = ref 0 in
   while (not (Core.quiescent core)) && !cycles < 100_000 do
     Core.tick core !cycles;
@@ -271,7 +271,7 @@ let core_tests =
             sup_settled = (fun () -> true);
           }
         in
-        let core = Core.create Mach_config.atom_core supply in
+        let core = Core.create ~id:0 Mach_config.atom_core supply in
         let cycles = ref 0 in
         while (not (Core.quiescent core)) && !cycles < 1000 do
           Core.tick core !cycles;
@@ -303,7 +303,7 @@ let core_tests =
           }
         in
         let run cfg l =
-          let core = Core.create cfg (supply l) in
+          let core = Core.create ~id:0 cfg (supply l) in
           let cycles = ref 0 in
           while (not (Core.quiescent core)) && !cycles < 10_000 do
             Core.tick core !cycles;

@@ -536,6 +536,37 @@ let cli_tests =
         ("--faults delay=-1", "delay: must be >= 0");
         ("--jitter 1 --faults seed=1,drop=2", "delay=");
       ]
+  @ [
+      tc "a kill scheduled past the end of the run warns" (fun () ->
+          let code, out, err = run_cli "run 164.gzip --faults seed=1,kill=3@99999999" in
+          check Alcotest.int ("exit status: " ^ err) 0 code;
+          Alcotest.(check bool) ("warning names the cycle: " ^ err) true
+            (contains err "kill=3@99999999 never fired"
+            && contains err "ended at cycle");
+          Alcotest.(check bool) "still reports recovery" true
+            (contains out "0 reknit(s)");
+          let code, _, err = run_cli "run 164.gzip --faults seed=1,kill=3@0" in
+          check Alcotest.int ("exit status: " ^ err) 0 code;
+          Alcotest.(check bool) ("a kill that fires is silent: " ^ err) false
+            (contains err "never fired"));
+      tc "HELIX_TRACE_CORE names the machine's core index" (fun () ->
+          (* core 5 dies at cycle 0 and never holds a uop; core 4 lives *)
+          let trace core win =
+            run_env
+              "../bin/helix_rc.exe run 164.gzip --engine legacy --faults \
+               seed=1,kill=5@0"
+              [ ("HELIX_TRACE_CORE", core); ("HELIX_TRACE_WIN", win) ]
+          in
+          let code, err = trace "5" "0-2000000" in
+          check Alcotest.int "exit status" 0 code;
+          Alcotest.(check bool) "the dead core traces nothing" false
+            (contains err " pending ");
+          let code, err = trace "4" "0-20000" in
+          check Alcotest.int "exit status" 0 code;
+          Alcotest.(check bool) "a live core traces as itself" true
+            (contains err " core4 pending "
+            && not (contains err " core5 pending ")));
+    ]
 
 let () =
   Alcotest.run "obs"

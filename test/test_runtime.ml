@@ -853,14 +853,23 @@ let depcheck_tests =
    programs: pull every uop and compare the final return value. *)
 let drain_context prog =
   let mem = Memory.create () in
-  let ctx = Context.create prog mem ~core_id:0 in
+  let code = Context.code prog in
+  let ctx = Context.create code mem ~core_id:0 in
   Context.start ctx prog.Ir.p_main [];
   let steps = ref 0 in
+  let bound = 4 * Context.stride code in
+  let in_range tok = tok >= 0 && tok < bound in
   let rec go () =
     incr steps;
     if !steps > 2_000_000 then Alcotest.fail "context did not terminate";
     match Context.next_uop ctx with
-    | Some _ -> go ()
+    | Some u ->
+        if
+          not
+            (List.for_all in_range u.Uop.srcs
+            && Option.fold ~none:true ~some:in_range u.Uop.dst)
+        then Alcotest.failf "uop token outside [0, %d)" bound;
+        go ()
     | None -> (
         match Context.status ctx with
         | Context.Finished rv -> (rv, mem)
@@ -891,7 +900,9 @@ let context_tests =
         Builder.ret b None;
         let p = Ir.create_program () in
         Ir.add_func p (Builder.func b);
-        let ctx = Context.create p (Memory.create ()) ~core_id:0 in
+        let ctx =
+          Context.create (Context.code p) (Memory.create ()) ~core_id:0
+        in
         Context.start ctx "main" [];
         (* pull wait 0 *)
         ignore (Context.next_uop ctx);
@@ -900,6 +911,68 @@ let context_tests =
         check Alcotest.int "depth 2" 2 (Context.wait_depth ctx);
         ignore (Context.next_uop ctx);
         check Alcotest.int "depth 1 again" 1 (Context.wait_depth ctx));
+    tc "register tokens are injective and dense" (fun () ->
+        List.iter
+          (fun s ->
+            let p, _ = s.prog () in
+            let code = Context.code p in
+            let stride = Context.stride code in
+            let seen = Hashtbl.create 256 in
+            for depth = 0 to 7 do
+              for r = 0 to stride - 1 do
+                let tok = Context.token code depth r in
+                if tok < 0 || tok >= 4 * stride then
+                  Alcotest.failf "%s: token %d outside [0, %d)" s.name tok
+                    (4 * stride);
+                match Hashtbl.find_opt seen tok with
+                | Some (d', r') when (d' land 3, r') <> (depth land 3, r) ->
+                    Alcotest.failf "%s: (%d, r%d) and (%d, r%d) share token %d"
+                      s.name d' r' depth r tok
+                | _ -> Hashtbl.replace seen tok (depth, r)
+              done
+            done;
+            check Alcotest.int (s.name ^ " tokens") (4 * stride)
+              (Hashtbl.length seen))
+          scenarios);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"token equality is (depth mod 4, reg) equality"
+         ~count:300
+         (QCheck.make
+            QCheck.Gen.(
+              int_range 1 70_000 >>= fun next_reg ->
+              int_range 0 20 >>= fun d1 ->
+              int_range 0 (next_reg - 1) >>= fun r1 ->
+              (* half the time the second pair aliases the first mod 4 *)
+              oneof [ map (fun k -> d1 + (4 * k)) (int_range 0 4); int_range 0 20 ]
+              >>= fun d2 ->
+              oneof [ return r1; int_range 0 (next_reg - 1) ] >>= fun r2 ->
+              return (next_reg, ((d1, r1), (d2, r2)))))
+         (fun (next_reg, ((d1, r1), (d2, r2))) ->
+           let p = Ir.create_program () in
+           let f = Ir.create_func "main" 0 in
+           f.Ir.f_next_reg <- next_reg;
+           Ir.add_func p f;
+           let code = Context.code p in
+           let valid r = r < next_reg && r <= 0xffff in
+           QCheck.assume (valid r1 && valid r2);
+           let t1 = Context.token code d1 r1 and t2 = Context.token code d2 r2 in
+           t1 >= 0
+           && t1 < 4 * Context.stride code
+           && (t1 = t2) = (d1 land 3 = d2 land 3 && r1 = r2)));
+    tc "tokens refuse registers beyond 16 bits or the stride" (fun () ->
+        let p = Ir.create_program () in
+        let f = Ir.create_func "main" 0 in
+        f.Ir.f_next_reg <- 70_000;
+        Ir.add_func p f;
+        let code = Context.code p in
+        check Alcotest.int "last 16-bit register" ((3 * 70_000) + 0xffff)
+          (Context.token code 3 0xffff);
+        List.iter
+          (fun r ->
+            match Context.token code 0 r with
+            | _ -> Alcotest.failf "r%d accepted" r
+            | exception Invalid_argument _ -> ())
+          [ -1; 0x10000; 69_999; 70_000 ]);
   ]
 
 (* ---- wait protocol: threshold loop and conventional signal log -------- *)

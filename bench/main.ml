@@ -8,19 +8,18 @@
 
    Part 2 runs Bechamel micro-benchmarks of the substrate itself
    (interpreter, compiler, ring network, caches, core models) so
-   performance regressions in the simulator are visible.
-
-   Between the two parts an engine A/B run times the legacy and event
-   simulation engines over the CINT set and writes BENCH_engine.json
-   (simulated cycles per host second for each).
+   performance regressions in the simulator are visible.  Host speed is
+   gated elsewhere, by the same-host A/B of the repository benchmark
+   (tools/perf_ab.sh).
 
    Set HELIX_BENCH_QUICK=1 to restrict part 1 to the CINT models (0, the
    default, runs every model).
    Set HELIX_BENCH_METRICS_DIR=<dir> to also dump each figure's table as
-   <dir>/<figure>.json for machine consumption (CI trend tracking).
-   Set HELIX_BENCH_SECTIONS to a comma list of figures,engine,micro to
-   run a subset (default: all three).  A malformed value of either
-   variable exits with status 2. *)
+   <dir>/<figure>.json for machine consumption; the quick tables are
+   golden files (dune build @test/golden/figures).
+   Set HELIX_BENCH_SECTIONS to a comma list of figures,micro to run a
+   subset (default: both).  A malformed value of either variable exits
+   with status 2. *)
 
 open Helix_ir
 open Helix_hcc
@@ -37,11 +36,11 @@ let workloads = if quick then Registry.integer else Registry.all
 
 let metrics_dir = Sys.getenv_opt "HELIX_BENCH_METRICS_DIR"
 
-let all_sections = [ "figures"; "engine"; "micro" ]
+let all_sections = [ "figures"; "micro" ]
 
 let sections =
   Helix_obs.Env.get "HELIX_BENCH_SECTIONS"
-    ~accepted:"a comma list of figures, engine and micro" ~default:all_sections
+    ~accepted:"a comma list of figures and micro" ~default:all_sections
     (fun s ->
       let l = List.map String.trim (String.split_on_char ',' s) in
       if List.for_all (fun x -> List.mem x all_sections) l then Some l
@@ -94,138 +93,6 @@ let part1 () =
   emit "tlp" (Tlp_study.report (Tlp_study.run ()));
   emit "ablations" (Ablations.report (Ablations.run ()))
 
-(* ---- engine A/B: simulated cycles per second ------------------------- *)
-
-(* Wall-clock both engines over the CINT set in the two configurations
-   every figure pairs (HELIX ring-decoupled and conventional coupled)
-   and record simulated cycles per host second.  Results are
-   bit-identical by construction (test/test_engine.ml proves it), so the
-   event/legacy ratio is the figure of merit; the per-workload elided
-   cycle ratios show where it comes from.  The table lands in
-   BENCH_engine.json so the perf trajectory has data. *)
-
-let engine_ab () =
-  Fmt.pr "@.== engine A/B: simulated cycles/sec (CINT set) ==@.";
-  let wls = Registry.integer in
-  (* compile once, outside the timed region: only simulation is measured *)
-  let prepared =
-    List.map
-      (fun (wl : Workload.t) ->
-        let s = wl.Workload.build () in
-        let c =
-          Hcc.compile
-            (Hcc_config.v3 ())
-            s.Workload.prog s.Workload.layout
-            ~train_mem:(s.Workload.init Workload.Train)
-        in
-        (wl, c, fun () -> s.Workload.init Workload.Ref))
-      wls
-  in
-  let cfg_of ~helix engine =
-    if helix then Exp_common.helix_cfg ~engine ()
-    else Exp_common.conventional_cfg ~engine ()
-  in
-  let time_one cfg (c, fresh_mem) =
-    let mem = fresh_mem () in
-    let t0 = Unix.gettimeofday () in
-    let r = Executor.run ~compiled:c cfg c.Hcc.cp_prog mem in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let skip_ratio (r : Executor.result) =
-    match
-      Helix_obs.Metrics.find_float r.Executor.r_metrics "engine.skip_ratio"
-    with
-    | Some f -> f
-    | None -> 0.0
-  in
-  (* Alternate the engines per (workload, config) point and keep each
-     side's best of three: host-load drift and GC phase otherwise swamp
-     the signal.  Cycle totals are engine-independent (bit-identical
-     results), so accumulating them from one side is enough. *)
-  let total_cycles = ref 0 in
-  let l_dt = ref 0.0 and e_dt = ref 0.0 in
-  let detail = ref [] in
-  List.iter
-    (fun ((wl : Workload.t), c, fresh_mem) ->
-      let p = (c, fresh_mem) in
-      List.iter
-        (fun helix ->
-          let legacy_cfg = cfg_of ~helix Helix_engine.Engine.Legacy in
-          let event_cfg = cfg_of ~helix Helix_engine.Engine.Event in
-          ignore (time_one legacy_cfg p) (* warmup *);
-          let l_best = ref infinity and e_best = ref infinity in
-          let cycles = ref 0 in
-          let e_ratio = ref 0.0 in
-          for _ = 1 to 3 do
-            let lr, ld = time_one legacy_cfg p in
-            let er, ed = time_one event_cfg p in
-            cycles := lr.Executor.r_cycles;
-            e_ratio := skip_ratio er;
-            if ld < !l_best then l_best := ld;
-            if ed < !e_best then e_best := ed
-          done;
-          total_cycles := !total_cycles + !cycles;
-          l_dt := !l_dt +. !l_best;
-          e_dt := !e_dt +. !e_best;
-          detail :=
-            ( wl.Workload.name,
-              (if helix then "helix" else "conventional"),
-              !e_ratio )
-            :: !detail)
-        [ true; false ])
-    prepared;
-  let detail = List.rev !detail in
-  let l_dt = !l_dt and e_dt = !e_dt in
-  let rate dt = float_of_int !total_cycles /. Float.max dt 1e-9 in
-  let l_rate = rate l_dt and e_rate = rate e_dt in
-  let e_speedup = e_rate /. Float.max l_rate 1e-9 in
-  Fmt.pr "  legacy: %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles l_dt
-    l_rate;
-  Fmt.pr "  event:  %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles e_dt
-    e_rate;
-  Fmt.pr "  event/legacy: %.2fx@." e_speedup;
-  Fmt.pr "  elided-cycle ratio (event):@.";
-  List.iter
-    (fun (name, cfg, er) -> Fmt.pr "    %-14s %-12s %.3f@." name cfg er)
-    detail;
-  let side cycles dt r =
-    Helix_obs.Json.Obj
-      [
-        ("cycles", Helix_obs.Json.Int cycles);
-        ("seconds", Helix_obs.Json.Float dt);
-        ("cycles_per_sec", Helix_obs.Json.Float r);
-      ]
-  in
-  let json =
-    Helix_obs.Json.Obj
-      [
-        ("bench", Helix_obs.Json.String "engine-ab");
-        ( "workloads",
-          Helix_obs.Json.List
-            (List.map
-               (fun (wl, _, _) -> Helix_obs.Json.String wl.Workload.name)
-               prepared) );
-        ("legacy", side !total_cycles l_dt l_rate);
-        ("event", side !total_cycles e_dt e_rate);
-        ("event_over_legacy", Helix_obs.Json.Float e_speedup);
-        ( "skip_ratio",
-          Helix_obs.Json.List
-            (List.map
-               (fun (name, cfg, er) ->
-                 Helix_obs.Json.Obj
-                   [
-                     ("workload", Helix_obs.Json.String name);
-                     ("config", Helix_obs.Json.String cfg);
-                     ("event", Helix_obs.Json.Float er);
-                   ])
-               detail) );
-      ]
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Helix_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
-
 (* ---- part 2: substrate micro-benchmarks ------------------------------- *)
 
 let quickstart_prog () =
@@ -233,8 +100,7 @@ let quickstart_prog () =
   let s = wl.Workload.build () in
   (s.Workload.prog, s.Workload.layout, s.Workload.init Workload.Train)
 
-(* A workload compiled once for the engine fast-forward benches, so only
-   the run loop is measured. *)
+(* A workload compiled once, so only the run loop is measured. *)
 let prepared name =
   lazy
     (let wl = Registry.find name in
@@ -246,15 +112,6 @@ let prepared name =
          ~train_mem:(s.Workload.init Workload.Train)
      in
      (c, fun () -> s.Workload.init Workload.Ref))
-
-let run_prepared p engine =
-  let c, fresh_mem = Lazy.force p in
-  let cfg = Exp_common.helix_cfg ~engine () in
-  ignore (Executor.run ~compiled:c cfg c.Hcc.cp_prog (fresh_mem ()))
-
-(* Stall-heavy and serial-heavy workloads. *)
-let run_mcf = run_prepared (prepared "181.mcf")
-let run_vpr = run_prepared (prepared "175.vpr")
 
 (* Hundreds of short invocations over a ~16k-word image: the checked
    path's per-invocation cost, which gzip's handful of invocations hide. *)
@@ -370,12 +227,6 @@ let bench_tests =
                  (Helix_analysis.Depend.compute Helix_analysis.Alias.best prog
                     f lp))
              (Helix_analysis.Loops.loops lt)));
-    Test.make ~name:"engine: legacy per-cycle, mcf (stall-heavy)"
-      (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Legacy));
-    Test.make ~name:"engine: event fast-forward, mcf (stall-heavy)"
-      (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Event));
-    Test.make ~name:"engine: event fast-forward, vpr (serial-heavy)"
-      (Staged.stage (fun () -> run_vpr Helix_engine.Engine.Event));
     Test.make ~name:"pool: 4 interp runs, 1 job"
       (Staged.stage (fun () ->
            Exp_common.Pool.set_jobs 1;
@@ -421,6 +272,5 @@ let part2 () =
 
 let () =
   if wants "figures" then part1 ();
-  if wants "engine" then engine_ab ();
   if wants "micro" then part2 ();
   Fmt.pr "@.done.@."

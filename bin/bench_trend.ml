@@ -1,105 +1,44 @@
-(* CI bench trend gate.
+(* Same-host A/B gate over the repository benchmark.
 
-     bench_trend --old PREV_DIR --new CUR_DIR [--threshold 0.10]
+     bench_trend --old PARENT_DIR --new CHANGE_DIR
 
-   Each directory is a bench artifact: BENCH_engine.json at its root
-   plus the figure tables (<name>.json) either alongside or in a
-   bench-metrics/ subdirectory.  Exits 1 when an engine's cycles/sec
-   regressed past the threshold or a figure table changed shape
-   (Trend.compare_all); exits 0 -- with a note -- when the previous run
-   has no artifact at all, so the gate tolerates the first run on a
-   fresh repository. *)
+   Run from the repository root: the workloads and the end-to-end
+   metrics' directions and bounds come from ./BENCHMARK.json.  Each
+   directory holds <workload>.jsonl, one perfbench result line per run
+   (tools/perf_ab.sh writes them).  Prints one row per (workload,
+   end-to-end metric); exits 1 when Trend.compare finds a failure, 2 on
+   a usage error. *)
 
 open Helix_experiments
 
-let usage () =
-  prerr_endline
-    "usage: bench_trend --old PREV_DIR --new CUR_DIR [--threshold FRACTION]";
-  exit 2
-
-let read_file path =
-  if Sys.file_exists path && not (Sys.is_directory path) then begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  end
-  else None
-
-(* figure tables live either next to BENCH_engine.json or under
-   bench-metrics/ depending on how the artifact was packed *)
-let figure_dir dir =
-  let sub = Filename.concat dir "bench-metrics" in
-  if Sys.file_exists sub && Sys.is_directory sub then sub else dir
-
-let figure_names dir =
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           Filename.check_suffix f ".json" && f <> "BENCH_engine.json")
-    |> List.sort compare
-  else []
+let read path =
+  if Sys.file_exists path then
+    In_channel.with_open_text path In_channel.input_all
+  else ""
 
 let () =
-  let old_dir = ref None and new_dir = ref None and threshold = ref 0.10 in
-  let rec parse = function
-    | [] -> ()
-    | "--old" :: v :: rest ->
-        old_dir := Some v;
-        parse rest
-    | "--new" :: v :: rest ->
-        new_dir := Some v;
-        parse rest
-    | "--threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some f when f > 0.0 && f < 1.0 -> threshold := f
-        | _ -> usage ());
-        parse rest
-    | _ -> usage ()
+  let old_dir, new_dir =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ "--old"; o; "--new"; n ] -> (o, n)
+    | _ ->
+        prerr_endline "usage: bench_trend --old PARENT_DIR --new CHANGE_DIR";
+        exit 2
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  match (!old_dir, !new_dir) with
-  | Some old_dir, Some new_dir ->
-      if not (Sys.file_exists old_dir && Sys.is_directory old_dir) then begin
-        (* no baseline artifact: nothing to gate against *)
-        Printf.printf
-          "bench-trend: no previous artifact at %s; skipping (first run?)\n"
-          old_dir;
-        exit 0
-      end;
-      let engine_old =
-        read_file (Filename.concat old_dir "BENCH_engine.json")
+  match Trend.spec_of_string (read "BENCHMARK.json") with
+  | Error e ->
+      prerr_endline ("bench_trend: ./BENCHMARK.json: " ^ e);
+      exit 2
+  | Ok spec ->
+      (* one line per run; a crashed run's line is reported unreadable *)
+      let lines dir w =
+        String.split_on_char '\n' (read (Filename.concat dir (w ^ ".jsonl")))
+        |> List.filter (fun l -> String.trim l <> "")
       in
-      let engine_new =
-        read_file (Filename.concat new_dir "BENCH_engine.json")
+      let report =
+        Trend.compare spec
+          (List.map
+             (fun w -> (w, (lines old_dir w, lines new_dir w)))
+             spec.Trend.workloads)
       in
-      let fig_old = figure_dir old_dir and fig_new = figure_dir new_dir in
-      let names =
-        List.sort_uniq compare (figure_names fig_old @ figure_names fig_new)
-      in
-      let figures =
-        List.map
-          (fun name ->
-            ( name,
-              ( read_file (Filename.concat fig_old name),
-                read_file (Filename.concat fig_new name) ) ))
-          names
-      in
-      let findings =
-        Trend.compare_all ~threshold:!threshold ~engine_old ~engine_new
-          ~figures ()
-      in
-      List.iter
-        (fun (f : Trend.finding) ->
-          Printf.printf "%s %s\n"
-            (match f.Trend.severity with `Fail -> "FAIL" | `Note -> "  ok")
-            f.Trend.message)
-        findings;
-      let fails = Trend.failures findings in
-      if fails <> [] then begin
-        Printf.printf "bench-trend: %d failure(s)\n" (List.length fails);
-        exit 1
-      end
-      else print_endline "bench-trend: pass"
-  | _ -> usage ()
+      Trend.print report;
+      exit (if Trend.failed report then 1 else 0)

@@ -280,13 +280,6 @@ let find_loop t ~func ~header =
   | None -> None
   | Some c -> Hcc.find_parallel_loop c ~func ~header
 
-let trace_invocations =
-  Helix_obs.Env.get "HELIX_TRACE_INV"
-    ~accepted:"a number of invocations (integer >= 0)" ~default:0
-    (Helix_obs.Env.int_at_least 0)
-
-let traced = ref 0
-
 (* ---- conventional chained signalling ---- *)
 
 let conv_signal_record t ~seg ~origin ~cycle =
@@ -369,18 +362,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         Trace.wait_complete t.cfg.trace ~cycle ~core ~seg ~iter:local_iter;
         Uop.Sh_done { latency = 1; value = 0 }
       end
-      else begin
-        if !traced < trace_invocations && cycle land 15 = 0 then
-          Printf.eprintf "  [trace] @%d core %d wait seg%d k=%d missing=%s\n"
-            cycle core seg local_iter
-            (String.concat ","
-               (List.filter_map
-                  (fun (o, th, have) ->
-                    if have >= th then None
-                    else Some (Printf.sprintf "%d(th%d)" o th))
-                  (wait_targets t ~core ~seg ~local_iter)));
-        Uop.Sh_retry
-      end
+      else Uop.Sh_retry
   | Uop.S_signal seg ->
       if t.cfg.comm.sync_via_ring then begin
         match t.ring with
@@ -402,9 +384,6 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         match t.ring with
         | Some ring ->
             let value, latency = Ring.load ring ~node:core ~addr ~cycle in
-            if !traced < trace_invocations && latency > 10 then
-              Printf.eprintf "  [trace] @%d core %d ring MISS a=%d lat=%d\n"
-                cycle core addr latency;
             Uop.Sh_done { latency; value }
         | None -> assert false
       end
@@ -447,10 +426,7 @@ let can_start t (ps : par_state) iter =
   | Some trip -> iter < trip
   | None -> (not ps.ps_stopped) && iter <= ps.ps_contig
 
-let finish_iteration ~now (ps : par_state) rv =
-  if !traced < trace_invocations then
-    Printf.eprintf "  [trace] @%d iter finished (fin=%d/%d)\n" now
-      (ps.ps_finished + 1) ps.ps_started;
+let finish_iteration (ps : par_state) rv =
   ps.ps_finished <- ps.ps_finished + 1;
   match rv with
   | Some v when v <> 0 ->
@@ -472,7 +448,7 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
   | Context.Finished rv ->
       if w.w_running_iter then begin
         w.w_running_iter <- false;
-        finish_iteration ~now:!(t.now) ps rv
+        finish_iteration ps rv
       end;
       (* schedule the next iteration assigned to this core: the sweep
          over its owned lanes (identical to core-id round-robin while
@@ -485,9 +461,6 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
         w.w_local_iter <- w.w_local_iter + 1;
         ps.ps_started <- ps.ps_started + 1;
         w.w_running_iter <- true;
-        if !traced < trace_invocations then
-          Printf.eprintf "  [trace] @%d core %d starts iter %d\n" !(t.now)
-            w.w_core iter;
         Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
           (iter :: ps.ps_params);
         worker_next_uop t ps w
@@ -577,10 +550,6 @@ let begin_parallel t (pl : Parallel_loop.t) =
         Some (compute_trip c ~init ~step ~bound)
     | Parallel_loop.Conditional -> None
   in
-  if !traced < trace_invocations then
-    Printf.eprintf "  [trace] @%d begin_parallel loop%d trip=%s\n" !(t.now)
-      pl.Parallel_loop.pl_id
-      (match trip with Some k -> string_of_int k | None -> "?");
   Trace.loop_enter t.cfg.trace ~cycle:!(t.now) ~loop:pl.Parallel_loop.pl_id
     ~trip;
   (* rollback point for the oracle and the fallback: journal every store
@@ -655,11 +624,6 @@ let parallel_done t (ps : par_state) =
   && (match t.ring with Some r -> Ring.data_drained r | None -> true)
 
 let end_parallel_normal t (ps : par_state) =
-  if !traced < trace_invocations then begin
-    incr traced;
-    Printf.eprintf "  [trace] @%d end_parallel (entry @%d, started %d)\n"
-      !(t.now) ps.ps_entry_cycle ps.ps_started
-  end;
   let pl = ps.ps_pl in
   let sc = t.serial_ctx in
   let executed = ps.ps_executed in
@@ -1432,11 +1396,7 @@ let components t =
           {
             Engine.cp_name = "ring";
             cp_tick = (fun ~cycle -> Ring.tick r ~cycle);
-            cp_next_event =
-              (fun ~now ->
-                match Ring.next_event r ~now with
-                | Some c -> c
-                | None -> Engine.never);
+            cp_next_event = Ring.next_event r;
             cp_skip = noop_skip;
           };
         ]

@@ -5,9 +5,11 @@
    region table doubles as the ground truth for allocation sites and for
    the ring cache's owner-node address hashing. *)
 
-(* Words in [0, 2^30) live in 1024-word pages, allocated on the first
-   non-zero store and indexed through a directory that grows on demand;
-   anything else (negative or huge addresses) goes to an int-keyed
+(* Words in [0, 2^22) live in 1024-word pages, allocated on the first
+   non-zero store and indexed through a directory that grows on demand
+   to at most 4096 entries, so no single store can make [copy] or [hash]
+   walk a huge directory (every workload's image lies below 2^16).
+   Anything else (negative or huge addresses) goes to an int-keyed
    overflow table.  A load is two array reads, with no hashing. *)
 
 module Ih = Hashtbl.Make (Int)
@@ -15,7 +17,7 @@ module Ih = Hashtbl.Make (Int)
 let page_bits = 10
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
-let paged_limit = 1 lsl 30
+let paged_limit = 1 lsl 22
 let no_page : int array = [||]
 
 type t = {

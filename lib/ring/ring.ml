@@ -502,9 +502,9 @@ let dead_nodes t =
   Array.fold_left (fun acc n -> if n.dead then acc + 1 else acc) 0 t.nodes
 
 (* Event-engine contract: earliest future cycle at which the network can
-   make progress on its own; [Some now] = active, do not fast-forward;
-   [None] = fully drained (purely reactive: only a new injection from a
-   core can create work).  The inflight roll-up makes the drained case
+   make progress on its own; [now] = active, do not fast-forward;
+   [max_int] = fully drained (purely reactive: only a new injection from
+   a core can create work).  The inflight roll-up makes the drained case
    O(1); otherwise each node publishes a local "nothing before c" bound
    and the scan takes the minimum.  Buffered data (or a processable
    signal head) at an unstalled node is "active"; a lockstep-held signal
@@ -513,69 +513,58 @@ let dead_nodes t =
    the scan already bounds (another node's buffers, an injection queue,
    or a link whose FIFO head arrival lower-bounds every delivery from
    it).  Waking a stalled node exactly at [stall_until], and link
-   messages exactly at their arrival cycle, matches [tick]'s rules. *)
+   messages exactly at their arrival cycle, matches [tick]'s rules.  The
+   fold is closure- and option-free: it runs on every engine round. *)
+let[@inline] earliest ~now c w =
+  let c = if c < now then now else c in
+  if c < w then c else w
+
+let[@inline] ready_at q =
+  if Queue.is_empty q then max_int
+  else
+    let ready, _, _ = Queue.peek q in
+    ready
+
+let sig_head_ready n =
+  (not (Queue.is_empty n.in_sig))
+  &&
+  let msg = Queue.peek n.in_sig in
+  lockstep_ok n ~origin:msg.Msg.origin msg.Msg.payload
+
+let rec scan_nodes t ~now i w =
+  if i = Array.length t.nodes then
+    earliest ~now (Link.next_arrival t.link) w
+  else
+    let n = Array.unsafe_get t.nodes i in
+    let buffered =
+      not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig)
+    in
+    let w =
+      if n.dead then
+        (* repeater: buffered traffic is immediately processable (no
+           lockstep, no stall) *)
+        if buffered then now else w
+      else if now < n.stall_until then
+        let w = if buffered then earliest ~now n.stall_until w else w in
+        let w = earliest ~now (max (ready_at n.inject_data) n.stall_until) w in
+        earliest ~now (max (ready_at n.inject_sig) n.stall_until) w
+      else if (not (Queue.is_empty n.in_data)) || sig_head_ready n then now
+      else
+        earliest ~now (ready_at n.inject_sig)
+          (earliest ~now (ready_at n.inject_data) w)
+    in
+    if w <= now then now else scan_nodes t ~now (i + 1) w
+
+(* Retransmission timers and pending acks are wake sources of their own:
+   folding them in here is what lets retransmit deadlines participate in
+   idle-cycle skipping instead of forcing per-cycle polling -- and they
+   must be counted even when the in-flight roll-up is zero, because a
+   late duplicate's ack (or a stale timer) can outlive the last logical
+   message. *)
 let next_event t ~now =
-  let w = ref max_int in
-  let add c = if (if c < now then now else c) < !w then w := max c now in
-  (* Retransmission timers and pending acks are wake sources of their own:
-     folding them in here is what lets retransmit deadlines participate in
-     idle-cycle skipping instead of forcing per-cycle polling -- and they
-     must be counted even when the in-flight roll-up is zero, because a
-     late duplicate's ack (or a stale timer) can outlive the last logical
-     message. *)
-  add (Link.next_timer t.link);
-  if t.inflight_data = 0 && t.inflight_sig = 0 then
-    (if !w = max_int then None else Some !w)
-  else begin
-    (try
-       Array.iter
-         (fun n ->
-           let stalled = (not n.dead) && now < n.stall_until in
-           if n.dead then begin
-             (* repeater: buffered traffic is immediately processable
-                (no lockstep, no stall) *)
-             if not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig)
-             then begin
-               add now;
-               raise Exit
-             end
-           end
-           else
-           if stalled then begin
-             if
-               not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig)
-             then add n.stall_until;
-             (match Queue.peek_opt n.inject_data with
-             | Some (ready, _, _) -> add (max ready n.stall_until)
-             | None -> ());
-             match Queue.peek_opt n.inject_sig with
-             | Some (ready, _, _) -> add (max ready n.stall_until)
-             | None -> ()
-           end
-           else begin
-             let sig_head_ready =
-               match Queue.peek_opt n.in_sig with
-               | None -> false
-               | Some msg ->
-                   lockstep_ok n ~origin:msg.Msg.origin msg.Msg.payload
-             in
-             if (not (Queue.is_empty n.in_data)) || sig_head_ready then begin
-               add now;
-               raise Exit
-             end;
-             (match Queue.peek_opt n.inject_data with
-             | Some (ready, _, _) -> add ready
-             | None -> ());
-             match Queue.peek_opt n.inject_sig with
-             | Some (ready, _, _) -> add ready
-             | None -> ()
-           end;
-           if !w <= now then raise Exit)
-         t.nodes;
-       add (Link.next_arrival t.link)
-     with Exit -> ());
-    if !w = max_int then None else Some !w
-  end
+  let w = earliest ~now (Link.next_timer t.link) max_int in
+  if t.inflight_data = 0 && t.inflight_sig = 0 then w
+  else scan_nodes t ~now 0 w
 
 (* Is any message still in flight (links, input buffers, injections)?
    O(1) via the inflight roll-up. *)

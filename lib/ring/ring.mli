@@ -109,11 +109,12 @@ val kill_node : t -> node:int -> cycle:int -> int * int
 val node_dead : t -> node:int -> bool
 val dead_nodes : t -> int
 
-val next_event : t -> now:int -> int option
-(** Event-engine contract: [Some c] (c >= now) promises that ticking the
-    network strictly before cycle [c] is a no-op; [Some now] means the
-    network is (or may be) active this cycle; [None] means it is fully
-    drained and only a new injection can create work.  The bound is
+val next_event : t -> now:int -> int
+(** Event-engine contract: [c] (c >= now) promises that ticking the
+    network strictly before cycle [c] is a no-op; [now] means the
+    network is (or may be) active this cycle; [max_int] (the engine's
+    [never]) means it is fully drained and only a new injection can
+    create work.  The bound is
     hierarchical: each node publishes a local "empty until c" (stall
     release, injection readiness, lockstep-held heads deferred to the
     data events that release them) and the ring-wide promise is the

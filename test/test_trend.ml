@@ -1,210 +1,129 @@
-(* Unit tests for the pure core of the CI perf-regression gate
-   (Trend): engine-throughput comparison, figure shape tracking, and
-   the missing-baseline / vanished-artifact paths of compare_all. *)
+(* Unit tests for the same-host A/B comparator (Trend): the median/bound
+   rule, its noise escape, the correctness checks, and reading inputs. *)
 
 open Helix_experiments
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
-let n_failures fs = List.length (Trend.failures fs)
+let metric ?(better = Trend.Higher) ?(bound = 0.25) m_name =
+  { Trend.m_name; better; bound }
 
-let has_finding_containing severity fs needle =
-  let contains hay =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  List.exists
-    (fun (f : Trend.finding) -> f.Trend.severity = severity && contains f.Trend.message)
-    fs
+let row ?better ?bound ~base ~change () =
+  Trend.compare_metric (metric ?better ?bound "m") ~workload:"w" ~base ~change
 
-let has_fail_containing = has_finding_containing `Fail
-let has_note_containing = has_finding_containing `Note
+let expect name v ?better ?bound ~base ~change () =
+  check Alcotest.string name (Trend.verdict_name v)
+    (Trend.verdict_name (row ?better ?bound ~base ~change ()).Trend.verdict)
 
-let engine_json ?(legacy = 1000.0) ?(event = 2000.0) () =
-  Printf.sprintf
-    {|{"legacy":{"cycles_per_sec":%f},"event":{"cycles_per_sec":%f}}|}
-    legacy event
+(* Five parent runs around 100: IQR 1% of the median. *)
+let steady = [ 99.0; 100.0; 100.0; 101.0; 102.0 ]
+let scaled k = List.map (fun x -> x *. k) steady
 
-(* A previous run's file from a build that also had a "heap" engine. *)
-let engine_json_with_heap =
-  {|{"legacy":{"cycles_per_sec":1000.0},"event":{"cycles_per_sec":2000.0},"heap":{"cycles_per_sec":3000.0}}|}
+(* Parent quartiles 70 and 130: IQR 60% of the median. *)
+let noisy = [ 40.0; 70.0; 100.0; 130.0; 160.0 ]
 
 let engine_tests =
   [
-    tc "steady throughput passes" (fun () ->
-        let fs =
-          Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ()) ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
-    tc "a drop beyond the threshold fails" (fun () ->
-        let fs =
-          Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ~event:1000.0 ()) ()
-        in
-        Alcotest.(check bool) "event regression flagged" true
-          (has_fail_containing fs "event engine regressed"));
-    tc "a drop within the threshold passes" (fun () ->
-        let fs =
-          Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ~event:1850.0 ()) ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
+    tc "steady throughput passes"
+      (expect "same runs" Trend.Pass ~base:steady ~change:steady);
+    tc "a drop beyond the threshold fails"
+      (expect "30% slower" Trend.Fail ~base:steady ~change:(scaled 0.7));
+    tc "a drop within the threshold passes"
+      (expect "10% slower" Trend.Pass ~base:steady ~change:(scaled 0.9));
     tc "custom threshold is honoured" (fun () ->
-        let fs =
-          Trend.compare_engine ~threshold:0.5 ~old_json:(engine_json ())
-            ~new_json:(engine_json ~event:1060.0 ()) ()
-        in
-        check Alcotest.int "47% drop under a 50% threshold" 0 (n_failures fs));
-    tc "an engine with no baseline is a note, not a failure" (fun () ->
-        let old_json = {|{"legacy":{"cycles_per_sec":1000.0}}|} in
-        let fs =
-          Trend.compare_engine ~old_json ~new_json:(engine_json ()) ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
-    tc "an engine that disappeared is a failure" (fun () ->
-        let new_json = {|{"legacy":{"cycles_per_sec":1000.0}}|} in
-        let fs =
-          Trend.compare_engine ~old_json:(engine_json ()) ~new_json ()
-        in
-        Alcotest.(check bool) "disappearance flagged" true
-          (has_fail_containing fs "disappeared"));
-    tc "an engine removed from the build is a note, not a failure"
+        expect "47% drop, 50% bound" Trend.Pass ~bound:0.5 ~base:steady
+          ~change:(scaled 0.53) ();
+        expect "2% drop, 1% bound" Trend.Fail ~bound:0.01 ~base:steady
+          ~change:(scaled 0.98) ());
+  ]
+
+let noise_tests =
+  [
+    tc "lower-is-better metrics fail when they grow" (fun () ->
+        expect "30% more" Trend.Fail ~better:Trend.Lower ~base:steady
+          ~change:(scaled 1.3) ();
+        expect "30% less" Trend.Pass ~better:Trend.Lower ~base:steady
+          ~change:(scaled 0.7) ());
+    tc "a parent IQR wider than the bound leaves a regression unresolved"
+      (expect "overlapping runs" Trend.Unresolved ~base:noisy
+         ~change:[ 50.0; 60.0; 70.0; 80.0; 150.0 ]);
+    tc "every change run worse than every parent run fails despite noise"
+      (expect "disjoint runs" Trend.Fail ~base:noisy
+         ~change:[ 20.0; 25.0; 30.0; 35.0; 39.0 ]);
+    tc "medians and quartiles interpolate between order statistics"
       (fun () ->
-        let fs =
-          Trend.compare_engine ~old_json:engine_json_with_heap
-            ~new_json:(engine_json ()) ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs);
-        Alcotest.(check bool) "removal noted" true
-          (has_note_containing fs "heap engine removed from the build"));
-    tc "a build engine missing from the current run still fails" (fun () ->
-        let new_json = {|{"legacy":{"cycles_per_sec":1000.0}}|} in
-        let fs =
-          Trend.compare_engine ~old_json:engine_json_with_heap ~new_json ()
-        in
-        check Alcotest.int "one failure" 1 (n_failures fs);
-        Alcotest.(check bool) "event flagged" true
-          (has_fail_containing fs "event engine disappeared");
-        Alcotest.(check bool) "heap only noted" true
-          (has_note_containing fs "heap engine removed from the build"));
-    tc "unreadable engine json is a failure" (fun () ->
-        let fs =
-          Trend.compare_engine ~old_json:"not json"
-            ~new_json:(engine_json ()) ()
-        in
-        Alcotest.(check bool) "unreadable flagged" true
-          (has_fail_containing fs "unreadable"));
+        let r = row ~base:[ 4.0; 1.0; 3.0; 2.0 ] ~change:[ 2.0; 8.0 ] () in
+        check (Alcotest.float 1e-9) "parent median" 2.5 r.Trend.base;
+        check (Alcotest.float 1e-9) "change median" 5.0 r.Trend.change;
+        check (Alcotest.float 1e-9) "IQR (3.25 - 1.75) / 2.5" 0.6 r.Trend.iqr);
   ]
 
-let figure_tests =
-  [
-    tc "value drift with the same shape passes" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig1.json"
-            ~old_json:{|{"rows":[{"wl":"mcf","speedup":3.1}]}|}
-            ~new_json:{|{"rows":[{"wl":"mcf","speedup":9.9}]}|} ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
-    tc "key order is shape-insensitive" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig1.json"
-            ~old_json:{|{"a":1,"b":2}|} ~new_json:{|{"b":5,"a":6}|} ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
-    tc "a lost row changes the shape and fails" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig1.json"
-            ~old_json:{|{"rows":[1,2,3]}|} ~new_json:{|{"rows":[1,2]}|} ()
-        in
-        Alcotest.(check bool) "shape change flagged" true
-          (has_fail_containing fs "shape changed"));
-    tc "a gained column changes the shape and fails" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig2.json"
-            ~old_json:{|{"rows":[{"wl":"mcf"}]}|}
-            ~new_json:{|{"rows":[{"wl":"mcf","extra":1}]}|} ()
-        in
-        Alcotest.(check bool) "shape change flagged" true
-          (has_fail_containing fs "shape changed"));
-    tc "a type change (number -> string) fails" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig3.json" ~old_json:{|{"v":1}|}
-            ~new_json:{|{"v":"one"}|} ()
-        in
-        Alcotest.(check bool) "type change flagged" true
-          (has_fail_containing fs "shape changed"));
-    tc "int vs float is the same shape" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig4.json" ~old_json:{|{"v":1}|}
-            ~new_json:{|{"v":1.5}|} ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
-    tc "unreadable figure json is a failure" (fun () ->
-        let fs =
-          Trend.compare_figure ~name:"fig5.json" ~old_json:{|{"v":1}|}
-            ~new_json:"{" ()
-        in
-        Alcotest.(check bool) "unreadable flagged" true
-          (has_fail_containing fs "unreadable"));
-  ]
+(* Five result lines as perfbench prints them, around [rate]. *)
+let runs ?(correct = true) ?(failed = 0) rate =
+  List.map
+    (Printf.sprintf
+       {|{"correct": %b, "attempted": 10, "failed": %d, "metrics": {"rate": {"value": %g, "unit": "x"}}}|}
+       correct failed)
+    (List.map (fun x -> x *. rate) steady)
 
-let all_tests =
+let compare ?(wl2 = (runs 1.0, runs 1.0)) wl1 =
+  Trend.compare
+    { Trend.workloads = [ "a"; "b" ]; metrics = [ metric "rate" ] }
+    [ ("a", wl1); ("b", wl2) ]
+
+let run_tests =
   [
-    tc "first run ever: no baselines anywhere, nothing fails" (fun () ->
-        let fs =
-          Trend.compare_all ~engine_old:None
-            ~engine_new:(Some (engine_json ()))
-            ~figures:[ ("fig1.json", (None, Some {|{"v":1}|})) ]
-            ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs));
-    tc "current run without BENCH_engine.json fails" (fun () ->
-        let fs =
-          Trend.compare_all ~engine_old:(Some (engine_json ()))
-            ~engine_new:None ~figures:[] ()
-        in
-        Alcotest.(check bool) "missing artifact flagged" true
-          (has_fail_containing fs "no BENCH_engine.json"));
-    tc "a figure table that vanished fails" (fun () ->
-        let fs =
-          Trend.compare_all ~engine_old:None ~engine_new:None
-            ~figures:[ ("fig7.json", (Some {|{"v":1}|}, None)) ]
-            ()
-        in
-        Alcotest.(check bool) "vanished table flagged" true
-          (has_fail_containing fs "missing from current run"));
-    tc "figure present on neither side is silent" (fun () ->
-        let fs =
-          Trend.compare_all ~engine_old:None ~engine_new:None
-            ~figures:[ ("fig8.json", (None, None)) ]
-            ()
-        in
-        check Alcotest.int "no failures" 0 (n_failures fs);
-        (* only the engine-side note remains; the absent figure is silent *)
-        check Alcotest.int "one note" 1 (List.length fs));
-    tc "mixed sweep: one regression among healthy figures" (fun () ->
-        let fs =
-          Trend.compare_all ~engine_old:(Some (engine_json ()))
-            ~engine_new:(Some (engine_json ~event:500.0 ()))
-            ~figures:
-              [
-                ("fig1.json", (Some {|{"v":1}|}, Some {|{"v":2}|}));
-                ("fig2.json", (None, Some {|{"v":3}|}));
-              ]
-            ()
-        in
-        check Alcotest.int "exactly one failure" 1 (n_failures fs);
-        Alcotest.(check bool) "it is the event engine" true
-          (has_fail_containing fs "event engine regressed"));
+    tc "one regression among healthy workloads fails and is named" (fun () ->
+        check Alcotest.bool "all healthy" false
+          (Trend.failed (compare (runs 2.0, runs 2.0)));
+        let r = compare ~wl2:(runs 1.0, runs 0.5) (runs 1.0, runs 1.0) in
+        check Alcotest.int "a row per workload and metric" 2
+          (List.length r.Trend.rows);
+        check
+          Alcotest.(list string)
+          "failing workloads" [ "b" ]
+          (List.filter_map
+             (fun row ->
+               if row.Trend.verdict = Trend.Fail then Some row.Trend.workload
+               else None)
+             r.Trend.rows));
+    tc "an incorrect run or a larger failed share fails" (fun () ->
+        let failed r = Trend.failed (compare r) in
+        check Alcotest.bool "incorrect" true
+          (failed (runs 1.0, runs ~correct:false 1.0));
+        check Alcotest.bool "equal share" false
+          (failed (runs ~failed:1 1.0, runs ~failed:1 1.0));
+        check Alcotest.bool "larger share" true
+          (failed (runs ~failed:1 1.0, runs ~failed:2 1.0)));
+    tc "missing or unreadable change results fail" (fun () ->
+        let faults r = List.length (compare r).Trend.faults in
+        check Alcotest.int "no change runs" 1 (faults (runs 1.0, []));
+        check Alcotest.int "crashed run" 1
+          (faults (runs 1.0, "Fatal error: exception Not_found" :: runs 1.0));
+        check Alcotest.int "metric missing" 1
+          (faults
+             ( runs 1.0,
+               [ {|{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}|} ]
+             )));
+    tc "BENCHMARK.json gives every end-to-end metric a direction and bound"
+      (fun () ->
+        match
+          Trend.spec_of_string
+            (In_channel.with_open_text "../BENCHMARK.json" In_channel.input_all)
+        with
+        | Error e -> Alcotest.fail e
+        | Ok s ->
+            check Alcotest.int "workloads" 4 (List.length s.Trend.workloads);
+            check Alcotest.bool "sim_cycles: lower is better, 1%" true
+              (List.mem (metric ~better:Trend.Lower ~bound:0.01 "sim_cycles")
+                 s.Trend.metrics));
   ]
 
 let () =
   Alcotest.run "trend"
     [
       ("engine-throughput", engine_tests);
-      ("figure-shape", figure_tests);
-      ("compare-all", all_tests);
+      ("noise", noise_tests);
+      ("workloads", run_tests);
     ]

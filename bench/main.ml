@@ -1,25 +1,9 @@
-(* The full benchmark harness.
-
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (Sections 2 and 6) through the experiments library and prints the rows
-   the paper reports.  Absolute numbers come from our simulator, so the
-   claim under test is the *shape*: who wins, by roughly what factor, and
-   where the crossovers fall.
-
-   Part 2 runs Bechamel micro-benchmarks of the substrate itself
-   (interpreter, compiler, ring network, caches, core models) so
-   performance regressions in the simulator are visible.  Host speed is
-   gated elsewhere, by the same-host A/B of the repository benchmark
-   (tools/perf_ab.sh).
-
-   Set HELIX_BENCH_QUICK=1 to restrict part 1 to the CINT models (0, the
-   default, runs every model).
-   Set HELIX_BENCH_METRICS_DIR=<dir> to also dump each figure's table as
-   <dir>/<figure>.json for machine consumption; the quick tables are
-   golden files (dune build @test/golden/figures).
-   Set HELIX_BENCH_SECTIONS to a comma list of figures,micro to run a
-   subset (default: both).  A malformed value of either variable exits
-   with status 2. *)
+(* Bechamel micro-benchmarks of the substrate itself (interpreter,
+   compiler, ring network, caches, core models, checked executor, host
+   pool), so performance regressions in the simulator are visible.  Host
+   speed is gated elsewhere, by the same-host A/B of the repository
+   benchmark (tools/perf_ab.sh); the paper's tables and figures are
+   regenerated by helix_rc (helix_rc all [--quick] [--json-dir DIR]). *)
 
 open Helix_ir
 open Helix_hcc
@@ -27,73 +11,6 @@ open Helix_core
 open Helix_machine
 open Helix_workloads
 open Helix_experiments
-
-let quick =
-  Helix_obs.Env.get "HELIX_BENCH_QUICK" ~accepted:"0 or 1" ~default:false
-    (function "0" -> Some false | "1" -> Some true | _ -> None)
-
-let workloads = if quick then Registry.integer else Registry.all
-
-let metrics_dir = Sys.getenv_opt "HELIX_BENCH_METRICS_DIR"
-
-let all_sections = [ "figures"; "micro" ]
-
-let sections =
-  Helix_obs.Env.get "HELIX_BENCH_SECTIONS"
-    ~accepted:"a comma list of figures and micro" ~default:all_sections
-    (fun s ->
-      let l = List.map String.trim (String.split_on_char ',' s) in
-      if List.for_all (fun x -> List.mem x all_sections) l then Some l
-      else None)
-
-let wants s = List.mem s sections
-
-(* Print a figure's table and, when HELIX_BENCH_METRICS_DIR is set, dump
-   it as <dir>/<name>.json too. *)
-let emit name report =
-  Report.print report;
-  match metrics_dir with
-  | None -> ()
-  | Some dir ->
-      let path = Filename.concat dir (name ^ ".json") in
-      let oc = open_out path in
-      output_string oc (Helix_obs.Json.to_string (Report.to_json report));
-      output_char oc '\n';
-      close_out oc
-
-(* ---- part 1: the paper's tables and figures -------------------------- *)
-
-let part1 () =
-  Fmt.pr "==================================================================@.";
-  Fmt.pr "HELIX-RC evaluation reproduction (%s workload set)@."
-    (if quick then "CINT" else "full");
-  Fmt.pr "==================================================================@.";
-  (* warm the compile/baseline memo tables across the pool so the
-     figures below start from cache hits instead of serial compiles *)
-  Exp_common.precompile workloads;
-  emit "fig1" (Fig1.report (Fig1.run ~workloads ()));
-  emit "fig2" (Fig2.report (Fig2.run ()));
-  emit "fig3" (Fig3.report (Fig3.run ()));
-  emit "fig4" (Fig4.report (Fig4.run ()));
-  emit "table1" (Table1.report (Table1.run ~workloads ()));
-  emit "fig7" (Fig7.report (Fig7.run ~workloads ()));
-  emit "fig8" (Fig8.report (Fig8.run ()));
-  emit "fig9" (Fig9.report (Fig9.run ()));
-  emit "fig10" (Fig10.report (Fig10.run ()));
-  emit "fig11a"
-    (Fig11.report ~title:"Figure 11a: core count" (Fig11.core_count ()));
-  emit "fig11b"
-    (Fig11.report ~title:"Figure 11b: link latency" (Fig11.link_latency ()));
-  emit "fig11c"
-    (Fig11.report ~title:"Figure 11c: signal bandwidth"
-       (Fig11.signal_bandwidth ()));
-  emit "fig11d"
-    (Fig11.report ~title:"Figure 11d: node memory size" (Fig11.node_memory ()));
-  emit "fig12" (Fig12.report (Fig12.run ~workloads ()));
-  emit "tlp" (Tlp_study.report (Tlp_study.run ()));
-  emit "ablations" (Ablations.report (Ablations.run ()))
-
-(* ---- part 2: substrate micro-benchmarks ------------------------------- *)
 
 let quickstart_prog () =
   let wl = Registry.find "164.gzip" in
@@ -248,9 +165,9 @@ let bench_tests =
                     [ 0; 1; 2; 3 ]))));
   ]
 
-let part2 () =
+let () =
   let open Bechamel in
-  Fmt.pr "@.== substrate micro-benchmarks (bechamel) ==@.";
+  Fmt.pr "== substrate micro-benchmarks (bechamel) ==@.";
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let raw =
@@ -268,9 +185,5 @@ let part2 () =
       | Some [ est ] ->
           Fmt.pr "  %-44s %12.0f ns/run@." name est
       | _ -> Fmt.pr "  %-44s (no estimate)@." name)
-    results
-
-let () =
-  if wants "figures" then part1 ();
-  if wants "micro" then part2 ();
+    results;
   Fmt.pr "@.done.@."

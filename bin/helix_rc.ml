@@ -26,8 +26,6 @@ let quick =
   let doc = "Run on the integer benchmarks only (faster)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
-let pick_workloads quick = if quick then Registry.integer else Registry.all
-
 let jobs_arg =
   let doc =
     "Evaluate independent figure points on up to $(docv) host cores \
@@ -38,125 +36,44 @@ let jobs_arg =
 
 let set_jobs = function Some n -> Exp_common.Pool.set_jobs n | None -> ()
 
-(* ---- experiment commands ---- *)
+(* ---- experiment commands, one per Evaluation figure, and all ---- *)
 
-let experiment name runner =
-  let doc = Printf.sprintf "Regenerate %s of the paper." name in
-  Cmd.v
-    (Cmd.info (String.lowercase_ascii name) ~doc)
+let json_dir_arg =
+  let doc =
+    "Also write each table as $(docv)/$(i,TABLE).json, where $(docv) is an \
+     existing directory."
+  in
+  Arg.(value & opt (some dir) None & info [ "json-dir" ] ~docv:"DIR" ~doc)
+
+(* Raises Sys_error unless a file can be created in [dir]: checked before
+   the (possibly minutes-long) sweep. *)
+let probe_writable dir =
+  try Sys.remove (Filename.temp_file ~temp_dir:dir "helix-rc" ".json")
+  with Sys_error m ->
+    raise (Sys_error (Printf.sprintf "--json-dir %s: cannot write (%s)" dir m))
+
+let figure_cmd name doc run =
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun quick jobs ->
+      const (fun quick jobs json_dir ->
           set_jobs jobs;
-          runner ~workloads:(pick_workloads quick) ();
-          `Ok ())
-      $ quick $ jobs_arg |> ret)
+          match
+            Option.iter probe_writable json_dir;
+            run ~json_dir (if quick then Registry.integer else Registry.all)
+          with
+          | () -> `Ok ()
+          | exception Sys_error m -> `Error (false, m))
+      $ quick $ jobs_arg $ json_dir_arg |> ret)
 
-let fig1_cmd =
-  experiment "Fig1" (fun ~workloads () ->
-      Report.print (Fig1.report (Fig1.run ~workloads ())))
-
-let fig2_cmd =
-  experiment "Fig2" (fun ~workloads:_ () ->
-      Report.print (Fig2.report (Fig2.run ())))
-
-let fig3_cmd =
-  experiment "Fig3" (fun ~workloads:_ () ->
-      Report.print (Fig3.report (Fig3.run ())))
-
-let fig4_cmd =
-  experiment "Fig4" (fun ~workloads:_ () ->
-      Report.print (Fig4.report (Fig4.run ())))
-
-let table1_cmd =
-  experiment "Table1" (fun ~workloads () ->
-      Report.print (Table1.report (Table1.run ~workloads ())))
-
-let fig7_cmd =
-  experiment "Fig7" (fun ~workloads () ->
-      Report.print (Fig7.report (Fig7.run ~workloads ())))
-
-let fig8_cmd =
-  experiment "Fig8" (fun ~workloads:_ () ->
-      Report.print (Fig8.report (Fig8.run ())))
-
-let fig9_cmd =
-  experiment "Fig9" (fun ~workloads:_ () ->
-      Report.print (Fig9.report (Fig9.run ())))
-
-let fig10_cmd =
-  experiment "Fig10" (fun ~workloads:_ () ->
-      Report.print (Fig10.report (Fig10.run ())))
-
-let fig11_cmd =
-  let doc = "Regenerate Figure 11 (sensitivity sweeps) of the paper." in
-  Cmd.v (Cmd.info "fig11" ~doc)
-    Term.(
-      const (fun () ->
-          Report.print
-            (Fig11.report ~title:"Figure 11a: core count"
-               (Fig11.core_count ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11b: link latency"
-               (Fig11.link_latency ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11c: signal bandwidth"
-               (Fig11.signal_bandwidth ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11d: node memory size"
-               (Fig11.node_memory ()));
-          `Ok ())
-      $ const () |> ret)
-
-let fig12_cmd =
-  experiment "Fig12" (fun ~workloads () ->
-      Report.print (Fig12.report (Fig12.run ~workloads ())))
-
-let tlp_cmd =
-  experiment "TLP" (fun ~workloads:_ () ->
-      Report.print (Tlp_study.report (Tlp_study.run ())))
-
-let ablations_cmd =
-  let doc = "Run the design-decision ablations (beyond the paper's sweeps)." in
-  Cmd.v (Cmd.info "ablations" ~doc)
-    Term.(
-      const (fun () ->
-          Report.print (Ablations.report (Ablations.run ()));
-          `Ok ())
-      $ const () |> ret)
-
-let all_cmd =
-  let doc = "Regenerate every table and figure (the full evaluation)." in
-  Cmd.v (Cmd.info "all" ~doc)
-    Term.(
-      const (fun quick jobs ->
-          set_jobs jobs;
-          let workloads = pick_workloads quick in
-          Exp_common.precompile workloads;
-          Report.print (Fig1.report (Fig1.run ~workloads ()));
-          Report.print (Fig2.report (Fig2.run ()));
-          Report.print (Fig3.report (Fig3.run ()));
-          Report.print (Fig4.report (Fig4.run ()));
-          Report.print (Table1.report (Table1.run ~workloads ()));
-          Report.print (Fig7.report (Fig7.run ~workloads ()));
-          Report.print (Fig8.report (Fig8.run ()));
-          Report.print (Fig9.report (Fig9.run ()));
-          Report.print (Fig10.report (Fig10.run ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11a: core count" (Fig11.core_count ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11b: link latency"
-               (Fig11.link_latency ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11c: signal bandwidth"
-               (Fig11.signal_bandwidth ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11d: node memory size"
-               (Fig11.node_memory ()));
-          Report.print (Fig12.report (Fig12.run ~workloads ()));
-          Report.print (Tlp_study.report (Tlp_study.run ()));
-          Report.print (Ablations.report (Ablations.run ()));
-          `Ok ())
-      $ quick $ jobs_arg |> ret)
+let figure_cmds =
+  List.map
+    (fun (f : Evaluation.figure) ->
+      figure_cmd f.name f.doc (fun ~json_dir w -> Evaluation.run ~json_dir w f))
+    Evaluation.figures
+  @ [
+      figure_cmd "all" "Regenerate every table and figure (the full \
+                        evaluation)." Evaluation.run_all;
+    ]
 
 (* ---- inspection commands ---- *)
 
@@ -594,12 +511,8 @@ let () =
   let info = Cmd.info "helix-rc" ~version:"1.0" ~doc in
   let group =
     Cmd.group info
-      [
-        fig1_cmd; fig2_cmd; fig3_cmd; fig4_cmd; table1_cmd; fig7_cmd;
-        fig8_cmd; fig9_cmd; fig10_cmd; fig11_cmd; fig12_cmd; tlp_cmd;
-        ablations_cmd; all_cmd; compile_cmd; run_cmd; overhead_cmd;
-        stats_cmd; chaos_cmd; list_cmd;
-      ]
+      (figure_cmds
+      @ [ compile_cmd; run_cmd; overhead_cmd; stats_cmd; chaos_cmd; list_cmd ])
   in
   (* ~catch:false so a Stuck simulation reaches this handler instead of
      dying with a raw backtrace: print the full report to stderr and exit

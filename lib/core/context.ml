@@ -119,6 +119,7 @@ let decode_instr code (ins : Ir.instr) =
     | Ir.Wait _ | Ir.Signal _ | Ir.Flush | Ir.Nop -> []
     | _ -> Ir.uses_of_instr ins
   in
+  (* every core type: ALU 1, Mul 3, Div/Rem 20 cycles *)
   let alu =
     match ins with
     | Ir.Binop (_, (Ir.Div | Ir.Rem), _, _) -> Some 20

@@ -30,7 +30,9 @@ let measure ?version ~tag wl cfg =
     (Exp_common.parallel ~cache:false ~tag wl version cfg)
 
 let run ?(workloads = default_workloads ()) () : row list =
-  let speedups f = List.map (fun wl -> (wl.Workload.name, f wl)) workloads in
+  let speedups f =
+    Exp_common.Pool.map (fun wl -> (wl.Workload.name, f wl)) workloads
+  in
   [
     { ab_name = "HELIX-RC (default)";
       ab_speedups =

@@ -23,7 +23,7 @@ let machines =
   ]
 
 let run ?(workloads = Registry.integer) () : row list =
-  List.map
+  Exp_common.Pool.map
     (fun wl ->
       let results =
         List.map

@@ -18,7 +18,7 @@ let run_sweep ?(workloads = Registry.integer) ~label
       {
         sw_label = Printf.sprintf "%s=%s" label pname;
         sw_speedups =
-          List.map
+          Exp_common.Pool.map
             (fun wl ->
               let cfg = mk_cfg () in
               let r =

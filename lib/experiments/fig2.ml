@@ -11,6 +11,17 @@ open Helix_workloads
 
 type tier_point = { tier_name : string; accuracy : float }
 
+(* The loop forest of a function of [prog], computed once per function. *)
+let loop_forest prog =
+  let cache = Hashtbl.create 7 in
+  fun fname ->
+    match Hashtbl.find_opt cache fname with
+    | Some l -> l
+    | None ->
+        let l = Loops.compute (Cfg.of_func (Ir.find_func prog fname)) in
+        Hashtbl.replace cache fname l;
+        l
+
 (* Ground truth: run the reference interpreter, attributing accesses to
    the innermost selected loop and its ancestors, with iteration counting
    driven by header visits. *)
@@ -22,15 +33,7 @@ let ground_truth (c : Hcc.compiled) (mem : Memory.t)
   let by_func : (string, (Loops.loop * Depend.Dynamic.t) list) Hashtbl.t =
     Hashtbl.create 7
   in
-  let loops_cache = Hashtbl.create 7 in
-  let loops_of fname =
-    match Hashtbl.find_opt loops_cache fname with
-    | Some l -> l
-    | None ->
-        let l = Loops.compute (Cfg.of_func (Ir.find_func prog fname)) in
-        Hashtbl.replace loops_cache fname l;
-        l
-  in
+  let loops_of = loop_forest prog in
   List.iter
     (fun (pl : Parallel_loop.t) ->
       let lt = loops_of pl.Parallel_loop.pl_func in
@@ -91,56 +94,51 @@ let ground_truth (c : Hcc.compiled) (mem : Memory.t)
     by_func;
   out
 
-let run ?(workloads = Registry.integer) () : tier_point list =
-  let per_tier = Hashtbl.create 7 in
+(* Per workload, on the pool: (identified and actual, identified)
+   dependence counts for each tier of the ladder, summed over the
+   selected loops. *)
+let tier_counts wl =
+  let counts = Array.make (List.length Alias.ladder) (0, 0) in
+  let c = Exp_common.compiled wl Exp_common.V3 in
+  let selected = Hcc.selected_loops c in
+  let truth = ground_truth c (Exp_common.ref_mem wl) selected in
+  let loops_of = loop_forest c.Hcc.cp_prog in
   List.iter
-    (fun wl ->
-      let c = Exp_common.compiled wl Exp_common.V3 in
-      let selected = Hcc.selected_loops c in
-      let truth = ground_truth c (Exp_common.ref_mem wl) selected in
-      let loops_cache = Hashtbl.create 7 in
-      List.iter
-        (fun (pl : Parallel_loop.t) ->
-          let fname = pl.Parallel_loop.pl_func in
-          let f = Ir.find_func c.Hcc.cp_prog fname in
-          let lt =
-            match Hashtbl.find_opt loops_cache fname with
-            | Some l -> l
-            | None ->
-                let l = Loops.compute (Cfg.of_func f) in
-                Hashtbl.replace loops_cache fname l;
-                l
+    (fun (pl : Parallel_loop.t) ->
+      let fname = pl.Parallel_loop.pl_func in
+      let f = Ir.find_func c.Hcc.cp_prog fname in
+      let lt = loops_of fname in
+      match Loops.loop_of_header lt pl.Parallel_loop.pl_header with
+      | None -> ()
+      | Some id ->
+          let lp = Loops.loop lt id in
+          let actual =
+            try Hashtbl.find truth (fname, pl.Parallel_loop.pl_header)
+            with Not_found -> Depend.Edge_set.empty
           in
-          match Loops.loop_of_header lt pl.Parallel_loop.pl_header with
-          | None -> ()
-          | Some id ->
-              let lp = Loops.loop lt id in
-              let actual =
-                try Hashtbl.find truth (fname, pl.Parallel_loop.pl_header)
-                with Not_found -> Depend.Edge_set.empty
+          List.iteri
+            (fun i tier ->
+              let static =
+                (Depend.compute tier c.Hcc.cp_prog f lp).Depend.ld_edges
               in
-              List.iter
-                (fun tier ->
-                  let deps = Depend.compute tier c.Hcc.cp_prog f lp in
-                  let static = deps.Depend.ld_edges in
-                  let hits =
-                    Depend.Edge_set.cardinal
-                      (Depend.Edge_set.inter static actual)
-                  in
-                  let n = Depend.Edge_set.cardinal static in
-                  let sh, sn =
-                    try Hashtbl.find per_tier tier.Alias.name
-                    with Not_found -> (0, 0)
-                  in
-                  Hashtbl.replace per_tier tier.Alias.name
-                    (sh + hits, sn + n))
-                Alias.ladder)
-        selected)
-    workloads;
-  List.map
-    (fun tier ->
+              let hits, n = counts.(i) in
+              counts.(i) <-
+                ( hits
+                  + Depend.Edge_set.cardinal
+                      (Depend.Edge_set.inter static actual),
+                  n + Depend.Edge_set.cardinal static ))
+            Alias.ladder)
+    selected;
+  counts
+
+let run ?(workloads = Registry.integer) () : tier_point list =
+  let per_wl = Exp_common.Pool.map tier_counts workloads in
+  List.mapi
+    (fun i tier ->
       let hits, n =
-        try Hashtbl.find per_tier tier.Alias.name with Not_found -> (0, 0)
+        List.fold_left
+          (fun (h, n) counts -> (h + fst counts.(i), n + snd counts.(i)))
+          (0, 0) per_wl
       in
       {
         tier_name = tier.Alias.name;

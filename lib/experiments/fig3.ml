@@ -18,22 +18,19 @@ type result = {
 
 let run ?(workloads = Registry.integer) () : result =
   List.fold_left
-    (fun acc wl ->
-      let c = Exp_common.compiled wl Exp_common.V3 in
-      List.fold_left
-        (fun acc (pl : Parallel_loop.t) ->
-          {
-            naive_reg = acc.naive_reg + pl.Parallel_loop.pl_carried_reg_count;
-            naive_mem = acc.naive_mem + pl.Parallel_loop.pl_mem_class_count;
-            remaining_reg =
-              acc.remaining_reg
-              + List.length pl.Parallel_loop.pl_shared_regs;
-            remaining_mem =
-              acc.remaining_mem + pl.Parallel_loop.pl_mem_class_count;
-          })
-        acc (Hcc.selected_loops c))
+    (fun acc (pl : Parallel_loop.t) ->
+      {
+        naive_reg = acc.naive_reg + pl.Parallel_loop.pl_carried_reg_count;
+        naive_mem = acc.naive_mem + pl.Parallel_loop.pl_mem_class_count;
+        remaining_reg =
+          acc.remaining_reg + List.length pl.Parallel_loop.pl_shared_regs;
+        remaining_mem = acc.remaining_mem + pl.Parallel_loop.pl_mem_class_count;
+      })
     { naive_reg = 0; naive_mem = 0; remaining_reg = 0; remaining_mem = 0 }
-    workloads
+    (List.concat
+       (Exp_common.Pool.map
+          (fun wl -> Hcc.selected_loops (Exp_common.compiled wl Exp_common.V3))
+          workloads))
 
 let report (r : result) : Report.t =
   let naive = r.naive_reg + r.naive_mem in

@@ -86,7 +86,9 @@ let iteration_lengths (wl : Workload.t) : float list =
     by_func []
 
 let run ?(workloads = Registry.integer) () : result =
-  let lengths = List.concat_map iteration_lengths workloads in
+  let lengths =
+    List.concat (Exp_common.Pool.map iteration_lengths workloads)
+  in
   let sorted = List.sort compare lengths in
   let n = List.length sorted in
   let cdf_at x =
@@ -97,13 +99,14 @@ let run ?(workloads = Registry.integer) () : result =
   (* sharing distributions from a full HELIX-RC run *)
   let dist = Array.make 7 0 and cons = Array.make 7 0 in
   List.iter
-    (fun wl ->
-      let r = Exp_common.run_helix wl Exp_common.V3 in
+    (fun (r : Executor.result) ->
       Array.iteri (fun i v -> dist.(i) <- dist.(i) + v)
         r.Executor.r_ring_dist_hist;
       Array.iteri (fun i v -> cons.(i) <- cons.(i) + v)
         r.Executor.r_ring_consumers_hist)
-    workloads;
+    (Exp_common.Pool.map
+       (fun wl -> Exp_common.run_helix wl Exp_common.V3)
+       workloads);
   let normalize a =
     let total = Array.fold_left ( + ) 0 a in
     Array.map

@@ -26,7 +26,7 @@ let modes =
 type row = { name : string; v2 : float; by_mode : float list }
 
 let run ?(workloads = Registry.integer) () : row list =
-  List.map
+  Exp_common.Pool.map
     (fun wl ->
       let v2 =
         Exp_common.speedup_of wl (Exp_common.run_conventional wl Exp_common.V2)

@@ -35,7 +35,7 @@ let bar_of wl (r : Helix_core.Executor.result) : bar =
   }
 
 let run ?(workloads = Registry.integer) () : row list =
-  List.map
+  Exp_common.Pool.map
     (fun wl ->
       let conv =
         Exp_common.parallel ~tag:"fig9conv" wl Exp_common.V3

@@ -19,57 +19,54 @@ type point = {
 }
 
 (* Evaluate the SAME loops (those HELIX-RC selects) under a version's
-   splitting policy, via that version's compilation of each loop. *)
-let analyze version ?(workloads = Registry.integer) () =
-  let seg_sizes = ref [] in
-  let tlps = ref [] in
-  List.iter
-    (fun wl ->
-      let v3 = Exp_common.compiled wl Exp_common.V3 in
-      let chosen =
-        List.map
-          (fun (pl : Parallel_loop.t) ->
-            (pl.Parallel_loop.pl_func, pl.Parallel_loop.pl_header))
-          (Hcc.selected_loops v3)
-      in
-      let c = Exp_common.compiled wl version in
-      List.iter
-        (fun (pl : Parallel_loop.t) ->
-          let nsegs = List.length pl.Parallel_loop.pl_segments in
-          if nsegs > 0 then begin
+   splitting policy, via that version's compilation of each loop: per
+   loop, in order, its mean segment footprint (none without segments)
+   and its TLP bound. *)
+let loop_points version wl =
+  let chosen =
+    List.map
+      (fun (pl : Parallel_loop.t) ->
+        (pl.Parallel_loop.pl_func, pl.Parallel_loop.pl_header))
+      (Hcc.selected_loops (Exp_common.compiled wl Exp_common.V3))
+  in
+  List.filter_map
+    (fun (cand : Select.candidate) ->
+      let pl = cand.Select.cd_loop in
+      let key = (pl.Parallel_loop.pl_func, pl.Parallel_loop.pl_header) in
+      if not (List.mem key chosen) then None
+      else
+        match pl.Parallel_loop.pl_segments with
+        | [] -> Some (None, 16.0) (* no segments: fully parallel *)
+        | segs ->
             let footprints =
               List.map
                 (fun si -> float_of_int si.Parallel_loop.si_footprint)
-                pl.Parallel_loop.pl_segments
+                segs
             in
             let mean_fp =
               List.fold_left ( +. ) 0.0 footprints
               /. float_of_int (List.length footprints)
             in
             let max_fp = List.fold_left Float.max 1.0 footprints in
-            seg_sizes := mean_fp :: !seg_sizes;
-            let b = float_of_int (max 1 pl.Parallel_loop.pl_body_static_instrs) in
-            tlps := Float.min 16.0 (b /. max_fp) :: !tlps
-          end
-          else begin
-            (* no segments: fully parallel *)
-            tlps := 16.0 :: !tlps
-          end)
-        (List.filter
-           (fun (cand : Select.candidate) ->
-             List.mem
-               ( cand.Select.cd_loop.Parallel_loop.pl_func,
-                 cand.Select.cd_loop.Parallel_loop.pl_header )
-               chosen)
-           c.Hcc.cp_candidates
-        |> List.map (fun cand -> cand.Select.cd_loop)))
-    workloads;
+            let b =
+              float_of_int (max 1 pl.Parallel_loop.pl_body_static_instrs)
+            in
+            Some (Some mean_fp, Float.min 16.0 (b /. max_fp)))
+    (Exp_common.compiled wl version).Hcc.cp_candidates
+
+let analyze version ?(workloads = Registry.integer) () =
+  (* newest loop first, the order the means have always summed in *)
+  let points =
+    List.rev
+      (List.concat (Exp_common.Pool.map (loop_points version) workloads))
+  in
+  let seg_sizes = List.filter_map fst points and tlps = List.map snd points in
   let mean l =
     match l with
     | [] -> 0.0
     | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  (mean !seg_sizes, mean !tlps)
+  (mean seg_sizes, mean tlps)
 
 let run ?workloads () : point list =
   let conservative_segs, conservative_tlp =

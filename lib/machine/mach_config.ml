@@ -11,9 +11,6 @@ type core_config = {
   kind : core_kind;
   width : int;            (* issue width *)
   window : int;           (* OoO instruction window; ignored in-order *)
-  alu_latency : int;
-  mul_latency : int;
-  div_latency : int;
   branch_penalty : int;   (* mispredict front-end redirect *)
 }
 
@@ -45,9 +42,6 @@ let atom_core =
     kind = In_order;
     width = 2;
     window = 1;
-    alu_latency = 1;
-    mul_latency = 3;
-    div_latency = 20;
     branch_penalty = 7;
   }
 
@@ -56,9 +50,6 @@ let ooo2_core =
     kind = Out_of_order;
     width = 2;
     window = 32;
-    alu_latency = 1;
-    mul_latency = 3;
-    div_latency = 20;
     branch_penalty = 12;
   }
 

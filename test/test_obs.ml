@@ -340,27 +340,6 @@ let run_env cmd env =
 
 let run_with_env var value = run_env "../bin/helix_rc.exe list" [ (var, value) ]
 
-(* The bench harness parses its variables at start-up, so only malformed
-   settings are run here: they stop it before any work.  The first pair
-   is a valid setting that must not be the one the message names. *)
-let bench_env_tests =
-  List.map
-    (fun ((ok_var, ok), (var, bad)) ->
-      tc (Fmt.str "bench %S in %s exits 2" bad var) (fun () ->
-          let code, msg = run_env "../bench/main.exe" [ (ok_var, ok); (var, bad) ] in
-          check Alcotest.int (var ^ " malformed: exit status") 2 code;
-          Alcotest.(check bool) ("message names the variable: " ^ msg) true
-            (contains msg var && contains msg "expected"
-            && not (contains msg ok_var))))
-    [
-      (("HELIX_BENCH_QUICK", "0"), ("HELIX_BENCH_SECTIONS", "figurse"));
-      (("HELIX_BENCH_QUICK", "1"), ("HELIX_BENCH_SECTIONS", "figures,"));
-      (("HELIX_BENCH_SECTIONS", "micro"), ("HELIX_BENCH_QUICK", "yes"));
-      (("HELIX_BENCH_SECTIONS", "figures,micro"), ("HELIX_BENCH_QUICK", "2"));
-      (* [engine] is not a section: naming it is an error *)
-      (("HELIX_BENCH_QUICK", "1"), ("HELIX_BENCH_SECTIONS", "engine"));
-    ]
-
 let env_tests =
   tc "parse: unset, accepted and malformed values" (fun () ->
       let conv = Env.int_at_least 1 in
@@ -390,7 +369,6 @@ let env_tests =
          ("HELIX_TRACE_CORE", "x", "3");
          ("HELIX_TRACE_WIN", "a-b", "100-200");
        ]
-  @ bench_env_tests
 
 (* ---- the run command's fault options -------------------------------- *)
 
@@ -487,6 +465,42 @@ let cli_tests =
             && not (contains err " core5 pending ")));
     ]
 
+(* ---- the evaluation registry and the driver built from it ----------- *)
+
+let evaluation_tests =
+  [
+    (* tier-1 guard for the opt-in figures alias: a table dropped from
+       (or added to) the registry fails here *)
+    tc "the registry's tables are the figure goldens" (fun () ->
+        let goldens =
+          Sys.readdir "golden/figures" |> Array.to_list
+          |> List.filter_map (Filename.chop_suffix_opt ~suffix:".json")
+          |> List.sort compare
+        in
+        check Alcotest.(list string) "table names" goldens
+          (List.sort_uniq compare Evaluation.table_names);
+        check Alcotest.int "no table twice" (List.length goldens)
+          (List.length Evaluation.table_names));
+    tc "all --json-dir on an unwritable path fails before the sweep"
+      (fun () ->
+        let file = Filename.temp_file "helix_json_dir" "" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+            List.iter
+              (fun dir ->
+                let code, out, err =
+                  run_cli ("all --quick --json-dir " ^ Filename.quote dir)
+                in
+                Alcotest.(check bool) "nonzero exit" true (code <> 0);
+                check Alcotest.string "no table printed" "" out;
+                Alcotest.(check bool) ("message names the path: " ^ err) true
+                  (contains err "--json-dir" && contains err dir);
+                Alcotest.(check bool) ("no exception: " ^ err) false
+                  (contains err "xception" || contains err "Fatal error"))
+              ([ file; Filename.concat file "tables" ]
+              (* a directory no one can create files in, root included *)
+              @ if Sys.file_exists "/proc/self" then [ "/proc" ] else [])));
+  ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -497,5 +511,6 @@ let () =
       ("deadlock-report", deadlock_tests);
       ("env", env_tests);
       ("cli-faults", cli_tests);
+      ("evaluation", evaluation_tests);
       ("properties", props);
     ]

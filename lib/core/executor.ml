@@ -146,8 +146,29 @@ type worker = {
   w_core : int;
   w_ctx : Context.t;
   mutable w_local_iter : int;     (* iterations started on this core *)
+  mutable w_next_iter : int;
+      (* global iteration of local iteration [w_local_iter]: the next one
+         this core starts.  Lane ownership never changes under a live
+         worker (a reknit respawns or retires them all), so it is computed
+         once per start instead of on every idle pull. *)
   mutable w_running_iter : bool;  (* an iteration awaits completion accounting *)
 }
+
+(* Where a core's last failed wait stopped: the epoch it was computed in,
+   the wait's key [(seg, local_iter)], that iteration's global index [g],
+   and the first origin whose threshold was unmet.  See [wait_resume]. *)
+type wait_cursor = {
+  mutable wc_epoch : int;  (* -1: empty *)
+  mutable wc_seg : int;
+  mutable wc_iter : int;
+  mutable wc_g : int;
+  mutable wc_origin : int;
+  mutable wc_threshold : int;
+}
+
+let wait_cursor () =
+  { wc_epoch = -1; wc_seg = 0; wc_iter = 0; wc_g = 0; wc_origin = 0;
+    wc_threshold = 0 }
 
 type par_state = {
   ps_pl : Parallel_loop.t;
@@ -229,6 +250,11 @@ type t = {
   owned : int list array;
   mutable n_active : int;
   mutable pending_death : (int * int) option;  (* (node, cycle) *)
+  (* per-core resume points of failed waits, valid only while their
+     [wc_epoch] equals [wait_epoch]; bumped wherever signal state resets
+     or lane ownership changes (see [wait_resume]) *)
+  cursors : wait_cursor array;
+  mutable wait_epoch : int;
 }
 
 (* Global iteration for core [c]'s [k]-th local iteration: lanes repeat
@@ -263,17 +289,64 @@ let iters_before ~n ~owned ~core:c' ~iter:g =
    ascending order and the loop stops at the first [false]; that order is
    part of the contract, because the ring's check marks thresholds
    consumed for the outstanding-signal accounting.  Neither the loop nor
-   a static [ok] allocates, so a blocked core's poll costs O(origins). *)
+   a static [ok] allocates; the walk costs O(origins), and [wait_resume]
+   below makes a blocked core's retry O(1).
+
+   [first_unmet] is the walk from origin [o] upward: the first origin
+   whose threshold is unmet, or [n] when all are met. *)
+let rec first_unmet ~n ~alive ~owned ~core ~seg ~cycle ~g ok env o =
+  if o >= n then n
+  else if
+    o <> core && alive.(o)
+    && not
+         (ok env ~core ~seg ~cycle o (iters_before ~n ~owned ~core:o ~iter:g))
+  then o
+  else first_unmet ~n ~alive ~owned ~core ~seg ~cycle ~g ok env (o + 1)
+
 let wait_satisfied ~n ~alive ~owned ~core ~seg ~cycle ~local_iter ok env =
   let g = iter_of_local ~n ~owned ~core ~local_iter in
-  let c' = ref 0 and sat = ref true in
-  while !sat && !c' < n do
-    let o = !c' in
-    if o <> core && alive.(o) then
-      sat := ok env ~core ~seg ~cycle o (iters_before ~n ~owned ~core:o ~iter:g);
-    incr c'
-  done;
-  !sat
+  first_unmet ~n ~alive ~owned ~core ~seg ~cycle ~g ok env 0 = n
+
+(* [wait_satisfied] for a retried wait, resumed at its blocking origin.
+   Between two epoch bumps a signal source only gains: ring received
+   counts grow and consumed marks only rise, and a conventional signal
+   once visible at [cycle] stays visible at every later cycle.  So the
+   origins below the one that failed last time still pass, and asking
+   them again would change nothing (their consumed marks already hold
+   their thresholds).  A retry with the same [(epoch, seg, local_iter)]
+   therefore re-asks only the blocking origin with its stored threshold
+   and, once that passes, continues upward exactly like the full walk.
+   The caller bumps [epoch] wherever signal state resets or lane
+   ownership changes. *)
+let wait_resume cur ~epoch ~n ~alive ~owned ~core ~seg ~cycle ~local_iter ok
+    env =
+  let hit =
+    cur.wc_epoch = epoch && cur.wc_seg = seg && cur.wc_iter = local_iter
+  in
+  if hit && not (ok env ~core ~seg ~cycle cur.wc_origin cur.wc_threshold) then
+    false
+  else begin
+    let g =
+      if hit then cur.wc_g else iter_of_local ~n ~owned ~core ~local_iter
+    in
+    let o =
+      first_unmet ~n ~alive ~owned ~core ~seg ~cycle ~g ok env
+        (if hit then cur.wc_origin + 1 else 0)
+    in
+    if o = n then begin
+      cur.wc_epoch <- -1;
+      true
+    end
+    else begin
+      cur.wc_epoch <- epoch;
+      cur.wc_seg <- seg;
+      cur.wc_iter <- local_iter;
+      cur.wc_g <- g;
+      cur.wc_origin <- o;
+      cur.wc_threshold <- iters_before ~n ~owned ~core:o ~iter:g;
+      false
+    end
+  end
 
 let find_loop t ~func ~header =
   match t.compiled with
@@ -305,16 +378,29 @@ let ring_signals_satisfied ring ~core ~seg ~cycle:_ origin threshold =
 
 (* ---- shared-world callback for core [c] ---- *)
 
+(* Only the mixed decoupling columns of Figure 8 route demoted-register
+   cells differently from program memory; everywhere else the cell
+   lookup is skipped. *)
 let route_via_ring t addr =
   match t.ring with
   | None -> false
   | Some _ ->
-      if Hashtbl.mem t.reg_cells addr then t.cfg.comm.reg_via_ring
-      else t.cfg.comm.mem_via_ring
+      let c = t.cfg.comm in
+      if c.reg_via_ring <> c.mem_via_ring && Hashtbl.mem t.reg_cells addr then
+        c.reg_via_ring
+      else c.mem_via_ring
 
 let waits_met t ~core ~seg ~cycle ~local_iter ok env =
   wait_satisfied ~n:t.n ~alive:t.alive ~owned:t.owned ~core ~seg ~cycle
     ~local_iter ok env
+
+let waits_resume t ~core ~seg ~cycle ~local_iter ok env =
+  wait_resume t.cursors.(core) ~epoch:t.wait_epoch ~n:t.n ~alive:t.alive
+    ~owned:t.owned ~core ~seg ~cycle ~local_iter ok env
+
+(* Lane ownership changed or signal state was reset: every stored wait
+   cursor is stale. *)
+let bump_wait_epoch t = t.wait_epoch <- t.wait_epoch + 1
 
 (* Signals core [core] has seen for [(seg, origin)], without touching
    the consumed accounting: for diagnostics only. *)
@@ -347,7 +433,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         if t.cfg.comm.sync_via_ring then begin
           match t.ring with
           | Some ring ->
-              waits_met t ~core ~seg ~cycle ~local_iter
+              waits_resume t ~core ~seg ~cycle ~local_iter
                 ring_signals_satisfied ring
           | None -> true
         end
@@ -356,7 +442,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
              semantics, but each signal becomes visible only one
              cache-to-cache latency after it is stored -- this is what
              serializes the Figure 5b chain *)
-          waits_met t ~core ~seg ~cycle ~local_iter conv_signal_visible t
+          waits_resume t ~core ~seg ~cycle ~local_iter conv_signal_visible t
       in
       if satisfied then begin
         Trace.wait_complete t.cfg.trace ~cycle ~core ~seg ~iter:local_iter;
@@ -453,12 +539,12 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
       (* schedule the next iteration assigned to this core: the sweep
          over its owned lanes (identical to core-id round-robin while
          every core lives) *)
-      let iter =
-        iter_of_local ~n:t.n ~owned:t.owned ~core:w.w_core
-          ~local_iter:w.w_local_iter
-      in
+      let iter = w.w_next_iter in
       if can_start t ps iter then begin
         w.w_local_iter <- w.w_local_iter + 1;
+        w.w_next_iter <-
+          iter_of_local ~n:t.n ~owned:t.owned ~core:w.w_core
+            ~local_iter:w.w_local_iter;
         ps.ps_started <- ps.ps_started + 1;
         w.w_running_iter <- true;
         Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
@@ -496,6 +582,7 @@ let compute_trip (c : Parallel_loop.counted) ~init ~step ~bound =
    has made any progress, respawning over the survivors restarts it
    with a consistent wait/signal contract. *)
 let spawn_workers t =
+  bump_wait_epoch t;
   for c = 0 to t.n - 1 do
     t.workers.(c) <- None
   done;
@@ -506,6 +593,8 @@ let spawn_workers t =
           w_core = c;
           w_ctx = Context.create t.code t.mem ~core_id:c;
           w_local_iter = 0;
+          w_next_iter =
+            iter_of_local ~n:t.n ~owned:t.owned ~core:c ~local_iter:0;
           w_running_iter = false;
         }
       in
@@ -718,6 +807,7 @@ let oracle_entry t (ps : par_state) : Oracle.entry =
 let do_fallback t (ps : par_state) ~reason =
   let pl = ps.ps_pl in
   (match t.ring with Some r -> Ring.abort r | None -> ());
+  bump_wait_epoch t;
   Memory.rollback t.mem;
   Memory.close_journal t.mem;
   Signal_log.reset t.conv_log;
@@ -955,6 +1045,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
         (match cfg.ring_cfg with
         | Some { Ring.faults = Some p; _ } -> p.Link.fl_fail_stop
         | _ -> None);
+      cursors = Array.init n (fun _ -> wait_cursor ());
+      wait_epoch = 0;
     }
   in
   t_ref := Some t;
@@ -1007,10 +1099,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
                          gate is safe because the scheduler publishes
                          [ps_start_cycle] as a wake-up. *)
                       (not w.w_running_iter)
-                      && not
-                           (can_start t ps
-                              (iter_of_local ~n:t.n ~owned:t.owned
-                                 ~core:w.w_core ~local_iter:w.w_local_iter))
+                      && not (can_start t ps w.w_next_iter)
                   | Context.Blocked | Context.Suspended _ -> true
                   | Context.Running -> false)));
     }
@@ -1142,6 +1231,7 @@ let stuck_snapshot t ~reason : Json.t =
    (lowest id on ties).  Keeps every lane single-owner, so the compiled
    [iter mod n] privatization slots stay exclusive. *)
 let adopt_lanes t ~dead =
+  bump_wait_epoch t;
   List.iter
     (fun lane ->
       let best = ref (-1) in

@@ -140,6 +140,30 @@ val wait_satisfied :
     stops at the first [false].  The visiting order is part of the
     contract: the ring's check marks thresholds consumed. *)
 
+type wait_cursor
+(** Where a core's last failed wait stopped: its epoch, key
+    [(seg, local_iter)], global iteration, blocking origin and that
+    origin's threshold. *)
+
+val wait_cursor : unit -> wait_cursor
+(** An empty cursor. *)
+
+val wait_resume :
+  wait_cursor -> epoch:int -> n:int -> alive:bool array ->
+  owned:int list array -> core:int -> seg:int -> cycle:int ->
+  local_iter:int ->
+  ('e -> core:int -> seg:int -> cycle:int -> int -> int -> bool) -> 'e ->
+  bool
+(** {!wait_satisfied}, resumed at the blocking origin of the previous
+    failed call with the same [(epoch, seg, local_iter)]: that origin is
+    re-asked with its stored threshold, and once it passes the walk
+    continues upward.  A failure stores the new blocking origin; a
+    success empties the cursor.  Exact -- the same answers, and the same
+    final source state -- for a source on which a satisfied origin stays
+    satisfied and asking it again changes nothing, as long as the caller
+    moves to a new [epoch] whenever the source resets or [alive]/[owned]
+    change. *)
+
 val run :
   ?compiled:Hcc.compiled -> config -> Ir.program -> Memory.t -> result
 (** Simulate the program to completion on the given initial memory

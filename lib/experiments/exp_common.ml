@@ -205,6 +205,10 @@ let speedup_of wl (par : Executor.result) =
 
 let geomean = Helix.geomean
 
+(* A geomean speedup cell; ["-"] when no workload is in the set (quick
+   mode has no FP models), not a misleading [0.00x]. *)
+let geomean_cell xs = if xs = [] then "-" else Report.xf (geomean xs)
+
 (* ---- verification -------------------------------------------------- *)
 
 (* Check a simulated run against the reference interpreter. *)

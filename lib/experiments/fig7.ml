@@ -31,7 +31,7 @@ let run ?(workloads = Registry.all) () : row list =
 let report (rows : row list) : Report.t =
   let ints = List.filter (fun r -> r.kind = Workload.Int) rows in
   let fps = List.filter (fun r -> r.kind = Workload.Fp) rows in
-  let geo rs sel = Exp_common.geomean (List.map sel rs) in
+  let geo rs sel = Exp_common.geomean_cell (List.map sel rs) in
   Report.make
     ~title:"Figure 7: HCCv2 vs HELIX-RC program speedup (16 cores)"
     ~header:[ "benchmark"; "HCCv2"; "HELIX-RC"; "oracle" ]
@@ -45,12 +45,12 @@ let report (rows : row list) : Report.t =
          ])
        rows
     @ [
-        [ "INT Geomean"; Report.xf (geo ints (fun r -> r.v2));
-          Report.xf (geo ints (fun r -> r.helix)); "" ];
-        [ "FP Geomean"; Report.xf (geo fps (fun r -> r.v2));
-          Report.xf (geo fps (fun r -> r.helix)); "" ];
-        [ "Geomean"; Report.xf (geo rows (fun r -> r.v2));
-          Report.xf (geo rows (fun r -> r.helix)); "" ];
+        [ "INT Geomean"; geo ints (fun r -> r.v2); geo ints (fun r -> r.helix);
+          "" ];
+        [ "FP Geomean"; geo fps (fun r -> r.v2); geo fps (fun r -> r.helix);
+          "" ];
+        [ "Geomean"; geo rows (fun r -> r.v2); geo rows (fun r -> r.helix);
+          "" ];
       ])
     ~notes:
       [ "paper: CINT geomean 2.2x -> 6.85x; CFP 11.4x -> ~12x" ]

@@ -60,7 +60,7 @@ let l2_access t ~cycle ~write addr =
   t.l2_banks.(bank_i) <- start + 2; (* bank occupied 2 cycles per access *)
   match Cache.access t.l2 ~write addr with
   | Cache.Hit -> queue + t.cfg.Mach_config.l2_latency
-  | Cache.Miss _ ->
+  | Cache.Miss | Cache.Miss_dirty ->
       queue + t.cfg.Mach_config.l2_latency + Dram.access t.dram ~cycle addr
 
 (* A core access through its private L1.  [coherent] charges directory
@@ -90,19 +90,20 @@ let access t ~core ~cycle ~(write : bool) ~(coherent : bool) addr : int =
       cost
     end
   in
-  match Cache.access t.l1s.(core) ~write addr with
+  let l1 = t.l1s.(core) in
+  match Cache.access l1 ~write addr with
   | Cache.Hit ->
       if c2c > 0 then
         (* treat the transfer cost as dominating the local hit *)
         c2c
       else t.cfg.Mach_config.l1.Mach_config.hit_latency
-  | Cache.Miss { evicted_dirty_line } ->
-      let wb =
-        match evicted_dirty_line with
-        | Some el -> ignore (l2_access t ~cycle ~write:true (el * line_words t)); 0
-        | None -> 0
-      in
-      ignore wb;
+  | (Cache.Miss | Cache.Miss_dirty) as miss ->
+      (* the write-back occupies the L2 bank but is off the critical
+         path *)
+      if miss = Cache.Miss_dirty then
+        ignore
+          (l2_access t ~cycle ~write:true
+             (Cache.evicted_line l1 * line_words t));
       let lower = l2_access t ~cycle ~write:false addr in
       t.cfg.Mach_config.l1.Mach_config.hit_latency + lower + c2c
 

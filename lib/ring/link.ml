@@ -169,6 +169,9 @@ type hop_state = {
 type channel = {
   data : bool;
   wires : (int * Msg.t) Queue.t array;  (* (arrival cycle, copy), FIFO *)
+  mutable on_wire : int;
+      (* copies on all of [wires]: delivery and the arrival fold skip an
+         empty channel without visiting its wires *)
   inbox : Msg.t Queue.t array;
   stamps : (int * int) Queue.t array;
       (* (hop, checksum) of each copy on the wire, in wire order; the
@@ -205,7 +208,7 @@ let create ?trace ~latency ~capacity ~inbox_data ~inbox_sig plan =
   let n = Array.length inbox_data in
   let channel data inbox =
     let queues () = Array.init n (fun _ -> Queue.create ()) in
-    { data; wires = queues (); inbox; stamps = queues ();
+    { data; wires = queues (); on_wire = 0; inbox; stamps = queues ();
       hops =
         Array.init n (fun _ ->
             { send = 0; expect = 0; acked = -1; rtx = Queue.create ();
@@ -283,6 +286,7 @@ let put t c ~hop msg i ~cycle =
   let csum = checksum msg in
   let enqueue m =
     Queue.add (arrival t c i ~cycle, m) c.wires.(i);
+    c.on_wire <- c.on_wire + 1;
     Queue.add (hop, csum) c.stamps.(i)
   in
   let fired fclass =
@@ -310,7 +314,10 @@ let put t c ~hop msg i ~cycle =
 
 let send t (msg : Msg.t) i ~cycle =
   let c = chan t ~data:(Msg.is_data msg) in
-  if not t.lossy then Queue.add (arrival t c i ~cycle, msg) c.wires.(i)
+  if not t.lossy then begin
+    Queue.add (arrival t c i ~cycle, msg) c.wires.(i);
+    c.on_wire <- c.on_wire + 1
+  end
   else begin
     (* stamp the link's next hop, keep a clean copy until it is
        cumulatively acked, and arm the timer on the first outstanding
@@ -352,19 +359,21 @@ let accept t c i msg ~cycle =
   end
 
 let deliver t c ~cycle =
-  for i = 0 to t.n - 1 do
-    let wire = c.wires.(i) in
-    let continue_ = ref true in
-    while !continue_ && not (Queue.is_empty wire) do
-      let arrival, msg = Queue.peek wire in
-      if arrival <= cycle then begin
-        ignore (Queue.pop wire);
-        if (not t.lossy) || accept t c i msg ~cycle then
-          Queue.add msg c.inbox.(succ t i)
-      end
-      else continue_ := false
+  if c.on_wire > 0 then
+    for i = 0 to t.n - 1 do
+      let wire = c.wires.(i) in
+      let continue_ = ref true in
+      while !continue_ && not (Queue.is_empty wire) do
+        let arrival, msg = Queue.peek wire in
+        if arrival <= cycle then begin
+          ignore (Queue.pop wire);
+          c.on_wire <- c.on_wire - 1;
+          if (not t.lossy) || accept t c i msg ~cycle then
+            Queue.add msg c.inbox.(succ t i)
+        end
+        else continue_ := false
+      done
     done
-  done
 
 (* Drain matured acks, advance the cumulative-ack horizon, trim the
    retransmission buffer and re-arm (or disarm) the timer. *)
@@ -445,15 +454,16 @@ let next_timer t =
       (Array.fold_left hop_wake max_int t.dch.hops)
       t.sch.hops
 
-let next_arrival t =
-  Array.fold_left head_wake
-    (Array.fold_left head_wake max_int t.dch.wires)
-    t.sch.wires
+let channel_wake w c =
+  if c.on_wire = 0 then w else Array.fold_left head_wake w c.wires
+
+let next_arrival t = channel_wake (channel_wake max_int t.dch) t.sch
 
 let reset t =
   List.iter
     (fun c ->
       Array.iter Queue.clear c.wires;
+      c.on_wire <- 0;
       Array.iter Queue.clear c.stamps;
       Array.iter
         (fun hs ->

@@ -451,19 +451,25 @@ let run_class t (n : node) ~data ~cycle =
     done
   end
 
+(* A node with nothing buffered and nothing to inject: [run_class] on it
+   is a no-op for both classes. *)
+let empty (n : node) =
+  Queue.is_empty n.in_data && Queue.is_empty n.in_sig
+  && Queue.is_empty n.inject_data && Queue.is_empty n.inject_sig
+
 (* 1. the link layer delivers arrived copies into input buffers (and, on a
-   lossy plan, runs its recovery upkeep); 2. every node moves its two
-   classes.  A dead node is not gated by L1 stalls: there is no core left
-   to stall it. *)
+   lossy plan, runs its recovery upkeep); 2. every node, in ascending
+   order, moves its two classes; empty nodes are skipped.  A dead node is
+   not gated by L1 stalls: there is no core left to stall it. *)
 let tick t ~cycle =
   Link.tick t.link ~cycle;
-  Array.iter
-    (fun n ->
-      if n.dead || cycle >= n.stall_until then begin
-        run_class t n ~data:true ~cycle;
-        run_class t n ~data:false ~cycle
-      end)
-    t.nodes
+  for i = 0 to Array.length t.nodes - 1 do
+    let n = Array.unsafe_get t.nodes i in
+    if (n.dead || cycle >= n.stall_until) && not (empty n) then begin
+      run_class t n ~data:true ~cycle;
+      run_class t n ~data:false ~cycle
+    end
+  done
 
 (* Fail-stop: the node's core dies at [cycle] and the ring reknits around
    it -- the node keeps its wires but degrades to a repeater, so traffic

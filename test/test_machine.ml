@@ -18,17 +18,18 @@ let cache_tests =
     tc "miss then hit" (fun () ->
         let c = small_cache () in
         (match Cache.access c ~write:false 10 with
-        | Cache.Miss _ -> ()
-        | Cache.Hit -> Alcotest.fail "expected miss");
+        | Cache.Miss -> ()
+        | Cache.Hit | Cache.Miss_dirty -> Alcotest.fail "expected miss");
         (match Cache.access c ~write:false 10 with
         | Cache.Hit -> ()
-        | Cache.Miss _ -> Alcotest.fail "expected hit"));
+        | Cache.Miss | Cache.Miss_dirty -> Alcotest.fail "expected hit"));
     tc "same line hits" (fun () ->
         let c = small_cache () in
         ignore (Cache.access c ~write:false 8);
         match Cache.access c ~write:false 11 with
         | Cache.Hit -> ()
-        | Cache.Miss _ -> Alcotest.fail "line should cover words 8..11");
+        | Cache.Miss | Cache.Miss_dirty ->
+            Alcotest.fail "line should cover words 8..11");
     tc "LRU evicts the older way" (fun () ->
         let c = small_cache () in
         let a1 = 0 and a2 = 8 * 4 and a3 = 2 * 8 * 4 in
@@ -38,9 +39,9 @@ let cache_tests =
         ignore (Cache.access c ~write:false a3);
         (match Cache.access c ~write:false a1 with
         | Cache.Hit -> ()
-        | Cache.Miss _ -> Alcotest.fail "a1 should survive");
+        | Cache.Miss | Cache.Miss_dirty -> Alcotest.fail "a1 should survive");
         match Cache.access c ~write:false a2 with
-        | Cache.Miss _ -> ()
+        | Cache.Miss | Cache.Miss_dirty -> ()
         | Cache.Hit -> Alcotest.fail "a2 should have been evicted");
     tc "dirty eviction reports the victim line" (fun () ->
         let c = small_cache () in
@@ -49,9 +50,9 @@ let cache_tests =
         ignore (Cache.access c ~write:false a2);
         ignore (Cache.access c ~write:false a2);
         match Cache.access c ~write:false a3 with
-        | Cache.Miss { evicted_dirty_line = Some l } ->
-            check Alcotest.int "victim line" 0 l
-        | _ -> Alcotest.fail "expected dirty eviction");
+        | Cache.Miss_dirty ->
+            check Alcotest.int "victim line" 0 (Cache.evicted_line c)
+        | Cache.Hit | Cache.Miss -> Alcotest.fail "expected dirty eviction");
     tc "invalidate removes a line" (fun () ->
         let c = small_cache () in
         ignore (Cache.access c ~write:false 20);
@@ -70,6 +71,161 @@ let cache_tests =
         Cache.flush_all c;
         Alcotest.(check bool) "empty" false (Cache.contains c 0));
   ]
+
+(* The cache as it was before its ways moved to flat arrays: one mutable
+   record per way, a closure and an option per access.  Kept as the
+   reference the struct-of-arrays model must match access for access. *)
+module Record_cache = struct
+  type line = {
+    mutable tag : int;
+    mutable valid : bool;
+    mutable dirty : bool;
+    mutable lru : int;
+  }
+
+  type t = {
+    line_words : int;
+    sets : line array array;
+    n_sets : int;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create (cfg : Mach_config.cache_config) =
+    let n_sets = max 1 (cfg.size_words / (cfg.assoc * cfg.line_words)) in
+    {
+      line_words = cfg.line_words;
+      sets =
+        Array.init n_sets (fun _ ->
+            Array.init cfg.assoc (fun _ ->
+                { tag = -1; valid = false; dirty = false; lru = 0 }));
+      n_sets;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let set_of t addr = t.sets.(addr / t.line_words mod t.n_sets)
+
+  (* [None] = hit, [Some None] = clean miss, [Some (Some l)] = dirty
+     victim line [l] *)
+  let access t ~write addr =
+    t.clock <- t.clock + 1;
+    let laddr = addr / t.line_words in
+    let set = set_of t addr in
+    let found = ref None in
+    Array.iter (fun l -> if l.valid && l.tag = laddr then found := Some l) set;
+    match !found with
+    | Some l ->
+        t.hits <- t.hits + 1;
+        l.lru <- t.clock;
+        if write then l.dirty <- true;
+        None
+    | None ->
+        t.misses <- t.misses + 1;
+        let victim = ref set.(0) in
+        Array.iter
+          (fun l ->
+            if not l.valid then victim := l
+            else if !victim.valid && l.lru < !victim.lru then victim := l)
+          set;
+        let v = !victim in
+        let evicted = if v.valid && v.dirty then Some v.tag else None in
+        if v.valid then t.evictions <- t.evictions + 1;
+        v.tag <- laddr;
+        v.valid <- true;
+        v.dirty <- write;
+        v.lru <- t.clock;
+        Some evicted
+
+  let contains t addr =
+    let laddr = addr / t.line_words in
+    Array.exists (fun l -> l.valid && l.tag = laddr) (set_of t addr)
+
+  let invalidate t addr =
+    let laddr = addr / t.line_words in
+    Array.iter
+      (fun l -> if l.valid && l.tag = laddr then l.valid <- false)
+      (set_of t addr)
+
+  let flush_all t =
+    Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) t.sets
+end
+
+type cache_op = Read of int | Write of int | Inval of int | Probe of int | Flush
+
+let gen_cache_case =
+  QCheck.Gen.(
+    oneofl [ 1; 2; 4; 8 ] >>= fun assoc ->
+    oneofl [ 1; 2; 4 ] >>= fun line_words ->
+    int_range 1 8 >>= fun sets ->
+    let span = 4 * sets * assoc * line_words in
+    let addr = int_bound span in
+    list_size (int_range 1 400)
+      (frequency
+         [
+           (8, map (fun a -> Read a) addr);
+           (6, map (fun a -> Write a) addr);
+           (1, map (fun a -> Inval a) addr);
+           (1, map (fun a -> Probe a) addr);
+           (1, return Flush);
+         ])
+    >>= fun ops ->
+    return
+      ( { Mach_config.size_words = sets * assoc * line_words; assoc;
+          line_words; hit_latency = 1 },
+        ops ))
+
+let prop_cache_matches_record_model =
+  QCheck.Test.make ~name:"cache: same outcomes and counts as the record model"
+    ~count:500 (QCheck.make gen_cache_case) (fun (cfg, ops) ->
+      let c = Cache.create cfg and r = Record_cache.create cfg in
+      let access ~write a =
+        match (Cache.access c ~write a, Record_cache.access r ~write a) with
+        | Cache.Hit, None | Cache.Miss, Some None -> true
+        | Cache.Miss_dirty, Some (Some l) -> Cache.evicted_line c = l
+        | _ -> false
+      in
+      List.for_all
+        (function
+          | Read a -> access ~write:false a
+          | Write a -> access ~write:true a
+          | Inval a ->
+              Cache.invalidate c a;
+              Record_cache.invalidate r a;
+              true
+          | Probe a -> Cache.contains c a = Record_cache.contains r a
+          | Flush ->
+              Cache.flush_all c;
+              Record_cache.flush_all r;
+              true)
+        ops
+      && Cache.hits c = r.Record_cache.hits
+      && Cache.misses c = r.Record_cache.misses
+      && Cache.evictions c = r.Record_cache.evictions)
+
+let cache_tests =
+  cache_tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_cache_matches_record_model;
+      tc "an access allocates nothing" (fun () ->
+          let c =
+            Cache.create
+              { Mach_config.size_words = 1024; assoc = 4; line_words = 4;
+                hit_latency = 1 }
+          in
+          let before = Gc.minor_words () in
+          for a = 0 to 9_999 do
+            ignore (Cache.access c ~write:(a land 1 = 0) (a * 37 mod 5000))
+          done;
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "10k accesses allocated %.0f words" words)
+            true (words < 100.));
+    ]
 
 (* ---- DRAM ---------------------------------------------------------------- *)
 

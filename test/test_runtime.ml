@@ -1055,6 +1055,65 @@ let prop_wait_loop_matches_reference =
       in
       got = want && !calls = !ref_calls)
 
+(* A random signal schedule against one waiting core: signals arrive,
+   the wait is retried under a few keys, and now and then the buffers
+   reset (a new epoch). *)
+type sig_event =
+  | Arrive of int * int * int  (* seg, origin, count *)
+  | Retry of int * int         (* seg, local_iter *)
+  | Reset
+
+let gen_cursor_case =
+  QCheck.Gen.(
+    gen_lane_layout >>= fun (n, alive, owned, core, local_iter, _) ->
+    let li = local_iter mod 4 in
+    list_size (int_range 1 150)
+      (frequency
+         [
+           ( 4,
+             map3
+               (fun seg o k -> Arrive (seg, o, k))
+               (int_bound 1) (int_bound (n - 1)) (int_range 1 3) );
+           ( 5,
+             map2 (fun seg d -> Retry (seg, li + d)) (int_bound 1)
+               (int_bound 1) );
+           (1, return Reset);
+         ])
+    >>= fun evs -> return (n, alive, owned, core, evs))
+
+let prop_wait_cursor_matches_full_walk =
+  QCheck.Test.make
+    ~name:"wait cursor: same answers and signal buffer as the full walk"
+    ~count:2000 (QCheck.make gen_cursor_case)
+    (fun (n, alive, owned, core, evs) ->
+      let module Sb = Helix_ring.Signal_buffer in
+      let a = Sb.create () and b = Sb.create () in
+      let cur = Executor.wait_cursor () and epoch = ref 0 in
+      let ok buf ~core:_ ~seg ~cycle:_ origin threshold =
+        Sb.satisfied buf ~seg ~origin ~threshold
+      in
+      List.for_all
+        (function
+          | Arrive (seg, origin, k) ->
+              for _ = 1 to k do
+                Sb.record a ~seg ~origin;
+                Sb.record b ~seg ~origin
+              done;
+              true
+          | Reset ->
+              Sb.reset a;
+              Sb.reset b;
+              incr epoch;
+              true
+          | Retry (seg, local_iter) ->
+              Executor.wait_resume cur ~epoch:!epoch ~n ~alive ~owned ~core
+                ~seg ~cycle:0 ~local_iter ok a
+              = Executor.wait_satisfied ~n ~alive ~owned ~core ~seg ~cycle:0
+                  ~local_iter ok b)
+        evs
+      && Sb.entries a = Sb.entries b
+      && Sb.max_outstanding a = Sb.max_outstanding b)
+
 (* Two loops updating one shared histogram: two parallel invocations
    whose sequential segments share segment ids, so signals left over
    from the first would satisfy the second's waits early. *)
@@ -1085,9 +1144,111 @@ let conventional_cfg ?(robust = Executor.no_robustness) () =
   Executor.default_config ~ring:false ~comm:Executor.fully_coupled ~robust
     Mach_config.default
 
+(* ---- blocked and idle ticks ---------------------------------------------- *)
+
+(* The [k]-th loop_enter cycle of a clean traced run of [s]. *)
+let loop_enter_cycle s k =
+  let _, _, tr = run_faulty ~plan:(Helix_ring.Ring.faulty ~seed:0 ()) s in
+  let enters =
+    List.filter
+      (fun e -> e.Helix_obs.Trace.ev_kind = "loop_enter")
+      (Helix_obs.Trace.events tr)
+  in
+  (List.nth enters k).Helix_obs.Trace.ev_cycle
+
+(* Run [s] with a fail-stop of core 2 at [at] on both engines; both must
+   verify and agree on the cycle count.  Returns the event run. *)
+let fail_stop_both_engines ~robust s ~at =
+  let plan = Helix_ring.Ring.faulty ~fail_stop:(2, at) ~seed:9 () in
+  let runs =
+    List.map
+      (fun engine ->
+        let g, par, _ = run_faulty ~robust ~engine ~plan s in
+        let v = Helix.verify g par in
+        Alcotest.(check bool)
+          (Fmt.str "kill@%d verified: %s" at v.Helix.detail)
+          true v.Helix.ok;
+        par)
+      [ Helix_engine.Engine.Legacy; Helix_engine.Engine.Event ]
+  in
+  match runs with
+  | [ legacy; event ] ->
+      check Alcotest.int
+        (Fmt.str "kill@%d: legacy = event cycles" at)
+        legacy.Executor.r_cycles event.Executor.r_cycles;
+      event
+  | _ -> assert false
+
+(* Words allocated by a run of the signal-stripped [s] that wedges and
+   stops at cycle [fuel], every cycle ticked. *)
+let wedged_run_words s ~fuel =
+  let cp, layout = s.prog () in
+  let compiled = compile_v3 (cp, layout) in
+  strip_signals compiled;
+  let cfg =
+    {
+      (Executor.default_config ~engine:Helix_engine.Engine.Legacy
+         Mach_config.default)
+      with
+      Executor.watchdog_cycles = max_int;
+      fuel;
+    }
+  in
+  let before = Gc.minor_words () in
+  (match Executor.run ~compiled cfg compiled.Hcc.cp_prog (Memory.create ()) with
+  | exception Executor.Stuck (Executor.Fuel, _) -> ()
+  | _ -> Alcotest.fail "the wedged run should exhaust its fuel");
+  Gc.minor_words () -. before
+
+let blocked_tick_tests =
+  [
+    tc "fail-stop at an invocation's entry: pristine reknit, legacy = event"
+      (fun () ->
+        (* core 2 dies just after the second invocation is entered,
+           before any of its iterations start: survivors adopt its lane
+           and the invocation is respawned over them *)
+        let at = loop_enter_cycle s_two_hists 1 + 1 in
+        let par =
+          fail_stop_both_engines ~robust:Executor.no_robustness s_two_hists
+            ~at
+        in
+        check Alcotest.int "no fallback" 0 par.Executor.r_fallbacks;
+        check Alcotest.int "one dead core" 1 (metric par "exec.dead_cores"));
+    tc "fail-stop while cores wait: fallback, legacy = event" (fun () ->
+        (* kills spread over the first invocation, whose histogram
+           segment keeps cores blocked in a wait for ~80% of the parallel
+           core cycles (the dependence-waiting bucket).  Only
+           that invocation falls back: the second one shares its segment
+           ids, so a wait cursor left over from the abandoned waits would
+           pass a wait early there and trip the sanitizer *)
+        let enter = loop_enter_cycle s_two_hists 0 in
+        List.iter
+          (fun d ->
+            let par =
+              fail_stop_both_engines ~robust:Executor.checked s_two_hists
+                ~at:(enter + d)
+            in
+            check Alcotest.int
+              (Fmt.str "kill@+%d: one fallback" d)
+              1 par.Executor.r_fallbacks)
+          [ 20; 45; 70; 95; 120; 145 ]);
+    tc "blocked and idle ticks allocate nothing" (fun () ->
+        (* a trip-16 loop without signals wedges with core 0 idle after
+           its one iteration and cores 1-15 blocked in a wait; the extra
+           100k ticked cycles of the longer run must not allocate *)
+        let s = s_trip 16 in
+        let short = wedged_run_words s ~fuel:200_000 in
+        let long = wedged_run_words s ~fuel:300_000 in
+        let per_cycle = (long -. short) /. 100_000. in
+        Alcotest.(check bool)
+          (Fmt.str "%.4f words per wedged cycle" per_cycle)
+          true (per_cycle < 0.01));
+  ]
+
 let wait_protocol_tests =
   [
     QCheck_alcotest.to_alcotest prop_wait_loop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_wait_cursor_matches_full_walk;
     tc "signal log grows and answers the nth-oldest store cycle" (fun () ->
         let log = Signal_log.create ~origins:4 in
         let cycle k = (3 * k) + (k mod 5) in
@@ -1162,6 +1323,7 @@ let () =
       ("oracle-only", oracle_tests);
       ("engine-fallback", engine_fallback_tests);
       ("fault-recovery", fault_recovery_tests);
+      ("blocked-ticks", blocked_tick_tests);
       ("depcheck", depcheck_tests);
       ("context", context_tests);
       ("wait-protocol", wait_protocol_tests);

@@ -87,72 +87,91 @@ let write_jsonl t oc = output_string oc (to_jsonl t)
 
 (* ---- typed emitters ------------------------------------------------- *)
 
+(* Each emitter tests for a buffer before it builds its field list: the
+   emitters are too large to inline, and the ring calls several of them
+   on every message, traced or not. *)
+
 let store_inject t ~cycle ~node ~addr ~value ~seq =
-  emit t ~cycle ~kind:"store_inject"
-    [ ("node", Json.Int node); ("addr", Json.Int addr);
-      ("value", Json.Int value); ("seq", Json.Int seq) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"store_inject"
+      [ ("node", Json.Int node); ("addr", Json.Int addr);
+        ("value", Json.Int value); ("seq", Json.Int seq) ]
 
 let signal_inject t ~cycle ~node ~seg ~seq ~barrier =
-  emit t ~cycle ~kind:"signal_inject"
-    [ ("node", Json.Int node); ("seg", Json.Int seg);
-      ("seq", Json.Int seq); ("barrier", Json.Int barrier) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"signal_inject"
+      [ ("node", Json.Int node); ("seg", Json.Int seg);
+        ("seq", Json.Int seq); ("barrier", Json.Int barrier) ]
 
 let inject_blocked t ~cycle ~node ~cls =
-  emit t ~cycle ~kind:"inject_blocked"
-    [ ("node", Json.Int node); ("cls", Json.String cls) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"inject_blocked"
+      [ ("node", Json.Int node); ("cls", Json.String cls) ]
 
 let lockstep_hold t ~cycle ~node ~origin ~barrier ~applied =
-  emit t ~cycle ~kind:"lockstep_hold"
-    [ ("node", Json.Int node); ("origin", Json.Int origin);
-      ("barrier", Json.Int barrier); ("applied", Json.Int applied) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"lockstep_hold"
+      [ ("node", Json.Int node); ("origin", Json.Int origin);
+        ("barrier", Json.Int barrier); ("applied", Json.Int applied) ]
 
 let backpressure t ~cycle ~node ~cls =
-  emit t ~cycle ~kind:"backpressure"
-    [ ("node", Json.Int node); ("cls", Json.String cls) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"backpressure"
+      [ ("node", Json.Int node); ("cls", Json.String cls) ]
 
 let wait_complete t ~cycle ~core ~seg ~iter =
-  emit t ~cycle ~kind:"wait_complete"
-    [ ("core", Json.Int core); ("seg", Json.Int seg); ("iter", Json.Int iter) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"wait_complete"
+      [ ("core", Json.Int core); ("seg", Json.Int seg); ("iter", Json.Int iter) ]
 
 let loop_enter t ~cycle ~loop ~trip =
-  emit t ~cycle ~kind:"loop_enter"
-    [ ("loop", Json.Int loop);
-      ("trip", match trip with Some k -> Json.Int k | None -> Json.Null) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"loop_enter"
+      [ ("loop", Json.Int loop);
+        ("trip", match trip with Some k -> Json.Int k | None -> Json.Null) ]
 
 let loop_flush t ~cycle ~loop ~iterations ~span ~flush_latency =
-  emit t ~cycle ~kind:"loop_flush"
-    [ ("loop", Json.Int loop); ("iterations", Json.Int iterations);
-      ("span", Json.Int span); ("flush_latency", Json.Int flush_latency) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"loop_flush"
+      [ ("loop", Json.Int loop); ("iterations", Json.Int iterations);
+        ("span", Json.Int span); ("flush_latency", Json.Int flush_latency) ]
 
 let stuck t ~cycle ~phase =
-  emit t ~cycle ~kind:"stuck" [ ("phase", Json.String phase) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"stuck" [ ("phase", Json.String phase) ]
 
 let violation t ~cycle ~loop ~kind:vkind ~detail =
-  emit t ~cycle ~kind:"violation"
-    [ ("loop", Json.Int loop); ("vkind", Json.String vkind);
-      ("detail", Json.String detail) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"violation"
+      [ ("loop", Json.Int loop); ("vkind", Json.String vkind);
+        ("detail", Json.String detail) ]
 
 let fallback t ~cycle ~loop ~reason ~iterations =
-  emit t ~cycle ~kind:"fallback"
-    [ ("loop", Json.Int loop); ("reason", Json.String reason);
-      ("iterations", Json.Int iterations) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"fallback"
+      [ ("loop", Json.Int loop); ("reason", Json.String reason);
+        ("iterations", Json.Int iterations) ]
 
 let oracle_result t ~cycle ~loop ~ok ~detail =
-  emit t ~cycle ~kind:"oracle_result"
-    [ ("loop", Json.Int loop); ("ok", Json.Bool ok);
-      ("detail", Json.String detail) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"oracle_result"
+      [ ("loop", Json.Int loop); ("ok", Json.Bool ok);
+        ("detail", Json.String detail) ]
 
 let fault t ~cycle ~fclass ~link ~wire ~hop =
-  emit t ~cycle ~kind:"fault"
-    [ ("fclass", Json.String fclass); ("link", Json.Int link);
-      ("wire", Json.String wire); ("hop", Json.Int hop) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"fault"
+      [ ("fclass", Json.String fclass); ("link", Json.Int link);
+        ("wire", Json.String wire); ("hop", Json.Int hop) ]
 
 let retransmit t ~cycle ~node ~wire ~count ~attempt =
-  emit t ~cycle ~kind:"retransmit"
-    [ ("node", Json.Int node); ("wire", Json.String wire);
-      ("count", Json.Int count); ("attempt", Json.Int attempt) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"retransmit"
+      [ ("node", Json.Int node); ("wire", Json.String wire);
+        ("count", Json.Int count); ("attempt", Json.Int attempt) ]
 
 let reknit t ~cycle ~node ~lost_data ~lost_sig =
-  emit t ~cycle ~kind:"reknit"
-    [ ("node", Json.Int node); ("lost_data", Json.Int lost_data);
-      ("lost_sig", Json.Int lost_sig) ]
+  if Option.is_some t then
+    emit t ~cycle ~kind:"reknit"
+      [ ("node", Json.Int node); ("lost_data", Json.Int lost_data);
+        ("lost_sig", Json.Int lost_sig) ]

@@ -151,31 +151,32 @@ let checksum (m : Msg.t) =
 (* Go-back-N state of one wire.  The sender half ([send], [acked], [rtx],
    timer, [acks]) belongs to the wire's source node, the receiver half
    ([expect]) to its destination.  Acks are modeled, not simulated as
-   messages: accepting hop [h] enqueues [(cycle + ack_latency, h)] into
-   [acks], the ack latency being the long way around the unidirectional
-   ring. *)
+   messages: accepting hop [h] enqueues [h] keyed by
+   [cycle + ack_latency] into [acks], the ack latency being the long way
+   around the unidirectional ring. *)
 type hop_state = {
   mutable send : int;      (* next hop stamp *)
   mutable expect : int;    (* next hop the receiver accepts *)
   mutable acked : int;     (* highest cumulatively-acked hop (-1 = none) *)
-  rtx : (int * Msg.t) Queue.t;  (* (hop, clean copy) unacked, FIFO by hop *)
+  rtx : Msg.t Fifo.t;      (* clean copies unacked, keyed and FIFO by hop *)
   mutable deadline : int;  (* retransmission timer, max_int = unarmed *)
   mutable attempt : int;   (* consecutive timeouts (exponential backoff) *)
-  acks : (int * int) Queue.t;  (* (learn_cycle, hop), FIFO by learn *)
+  acks : int Fifo.t;       (* hops keyed by learn cycle, FIFO by learn *)
 }
 
 (* One traffic class: wire [i] runs from node [i] to node [i+1] and feeds
    [inbox.(i+1)].  [stamps] and [hops] serve go-back-N only. *)
 type channel = {
   data : bool;
-  wires : (int * Msg.t) Queue.t array;  (* (arrival cycle, copy), FIFO *)
-  mutable on_wire : int;
-      (* copies on all of [wires]: delivery and the arrival fold skip an
-         empty channel without visiting its wires *)
-  inbox : Msg.t Queue.t array;
-  stamps : (int * int) Queue.t array;
-      (* (hop, checksum) of each copy on the wire, in wire order; the
-         checksum is the clean message's, so a corrupted copy fails it *)
+  wires : Msg.t Fifo.t array;  (* copies keyed by arrival cycle, FIFO *)
+  busy : Bitset.t;
+      (* exactly the non-empty wires: delivery and the arrival fold visit
+         only these *)
+  inbox : Msg.t Fifo.t array;
+  stamps : int Fifo.t array;
+      (* checksum keyed by hop of each copy on the wire, in wire order;
+         the checksum is the clean message's, so a corrupted copy fails
+         it *)
   hops : hop_state array;
 }
 
@@ -190,6 +191,13 @@ type t = {
   trace : Helix_obs.Trace.t option;
   dch : channel;
   sch : channel;
+  receivers : Bitset.t;  (* where delivery marks a node it fed *)
+  pending : Bitset.t;
+      (* superset of the links whose go-back-N state, in either class,
+         holds unacked copies or acks in flight: the recovery upkeep and
+         the timer fold visit only these.  A link joins when [send]
+         buffers a copy; an ack in flight needs no join of its own, as
+         its hop stays in [rtx] until the ack is learned. *)
   mutable retransmits : int;        (* copies resent on timer expiry *)
   mutable drops_detected : int;     (* hop gaps seen by receivers *)
   mutable dups_detected : int;      (* repeated hops discarded *)
@@ -204,21 +212,24 @@ type t = {
    pathological schedule from flooding a link it keeps killing. *)
 let max_backoff_shift = 6
 
-let create ?trace ~latency ~capacity ~inbox_data ~inbox_sig plan =
+let create ?trace ~latency ~capacity ~inbox_data ~inbox_sig ~receivers plan =
   let n = Array.length inbox_data in
   let channel data inbox =
-    let queues () = Array.init n (fun _ -> Queue.create ()) in
-    { data; wires = queues (); on_wire = 0; inbox; stamps = queues ();
+    let msgs () = Array.init n (fun _ -> Fifo.create ~dummy:Msg.dummy) in
+    let ints () = Array.init n (fun _ -> Fifo.create ~dummy:0) in
+    { data; wires = msgs (); busy = Bitset.create n; inbox; stamps = ints ();
       hops =
         Array.init n (fun _ ->
-            { send = 0; expect = 0; acked = -1; rtx = Queue.create ();
-              deadline = max_int; attempt = 0; acks = Queue.create () }) }
+            { send = 0; expect = 0; acked = -1;
+              rtx = Fifo.create ~dummy:Msg.dummy; deadline = max_int;
+              attempt = 0; acks = Fifo.create ~dummy:0 }) }
   in
   let plan = Option.value plan ~default:(faulty ~seed:0 ()) in
   { n; latency; capacity; plan; lossy = lossy plan;
     ack_latency = max 1 ((n - 1) * latency);
     rtx_base = (4 * n * latency) + 16; trace;
-    dch = channel true inbox_data; sch = channel false inbox_sig;
+    dch = channel true inbox_data; sch = channel false inbox_sig; receivers;
+    pending = Bitset.create n;
     retransmits = 0; drops_detected = 0; dups_detected = 0;
     corrupts_detected = 0; faults_injected = 0 }
 
@@ -241,11 +252,16 @@ let arrival t c i ~cycle =
   cycle + t.latency
   + roll t ~salt:3 ~cycle ~node:i ~bound:(if c.data then d else 2 * d)
 
-let occupancy t ~data i = Queue.length (chan t ~data).wires.(i)
+let occupancy t ~data i = Fifo.length (chan t ~data).wires.(i)
 
 let free_space t ~data i =
   let c = chan t ~data in
-  t.capacity - Queue.length c.wires.(i) - Queue.length c.inbox.(succ t i)
+  t.capacity - Fifo.length c.wires.(i) - Fifo.length c.inbox.(succ t i)
+
+(* Put a copy on wire [i], keyed by the cycle it arrives. *)
+let on_wire t c i msg ~cycle =
+  Fifo.push c.wires.(i) (arrival t c i ~cycle) msg;
+  Bitset.add c.busy i
 
 (* -- go-back-N ------------------------------------------------------- *)
 
@@ -259,24 +275,21 @@ let corrupt_msg (m : Msg.t) =
   in
   { m with Msg.payload }
 
-(* Swap the two newest entries (the reorder fault, applied to a wire and
-   its stamps alike).  Delivery pops heads in queue order, so this really
-   inverts arrival order; the receiver sees a hop inversion and go-back-N
-   discards the early one. *)
-let transpose_last_two (q : 'a Queue.t) =
-  let a = Array.of_seq (Queue.to_seq q) in
-  let n = Array.length a in
-  if n >= 2 then begin
-    let last = a.(n - 1) in
-    a.(n - 1) <- a.(n - 2);
-    a.(n - 2) <- last;
-    Queue.clear q;
-    Array.iter (fun x -> Queue.add x q) a
-  end
+let stamped t c i msg ~hop ~csum ~cycle =
+  on_wire t c i msg ~cycle;
+  Fifo.push c.stamps.(i) hop csum
+
+let fired t c i ~hop ~cycle fclass =
+  t.faults_injected <- t.faults_injected + 1;
+  Helix_obs.Trace.fault t.trace ~cycle ~fclass ~link:i ~wire:(wire_name c)
+    ~hop
 
 (* Put a stamped copy of [msg] on wire [i], applying the fault schedule.
    Faults touch only this copy; the clean original sits in the sender's
-   retransmission buffer. *)
+   retransmission buffer.  A reorder swaps the two newest copies (and
+   their stamps): delivery pops heads in queue order, so this really
+   inverts arrival order; the receiver sees a hop inversion and go-back-N
+   discards the early one. *)
 let put t c ~hop msg i ~cycle =
   let p = t.plan in
   let roll =
@@ -284,40 +297,28 @@ let put t c ~hop msg i ~cycle =
     mod 1000
   in
   let csum = checksum msg in
-  let enqueue m =
-    Queue.add (arrival t c i ~cycle, m) c.wires.(i);
-    c.on_wire <- c.on_wire + 1;
-    Queue.add (hop, csum) c.stamps.(i)
-  in
-  let fired fclass =
-    t.faults_injected <- t.faults_injected + 1;
-    Helix_obs.Trace.fault t.trace ~cycle ~fclass ~link:i ~wire:(wire_name c)
-      ~hop
-  in
-  if roll < p.fl_drop then fired "drop" (* nothing reaches the wire *)
+  if roll < p.fl_drop then fired t c i ~hop ~cycle "drop"
+    (* nothing reaches the wire *)
   else if roll < p.fl_drop + p.fl_dup then begin
-    fired "dup";
-    enqueue msg;
-    enqueue msg
+    fired t c i ~hop ~cycle "dup";
+    stamped t c i msg ~hop ~csum ~cycle;
+    stamped t c i msg ~hop ~csum ~cycle
   end
   else if roll < p.fl_drop + p.fl_dup + p.fl_reorder then begin
-    fired "reorder";
-    enqueue msg;
-    transpose_last_two c.wires.(i);
-    transpose_last_two c.stamps.(i)
+    fired t c i ~hop ~cycle "reorder";
+    stamped t c i msg ~hop ~csum ~cycle;
+    Fifo.swap_last_two c.wires.(i);
+    Fifo.swap_last_two c.stamps.(i)
   end
   else if roll < p.fl_drop + p.fl_dup + p.fl_reorder + p.fl_corrupt then begin
-    fired "corrupt";
-    enqueue (corrupt_msg msg)
+    fired t c i ~hop ~cycle "corrupt";
+    stamped t c i (corrupt_msg msg) ~hop ~csum ~cycle
   end
-  else enqueue msg
+  else stamped t c i msg ~hop ~csum ~cycle
 
 let send t (msg : Msg.t) i ~cycle =
   let c = chan t ~data:(Msg.is_data msg) in
-  if not t.lossy then begin
-    Queue.add (arrival t c i ~cycle, msg) c.wires.(i);
-    c.on_wire <- c.on_wire + 1
-  end
+  if not t.lossy then on_wire t c i msg ~cycle
   else begin
     (* stamp the link's next hop, keep a clean copy until it is
        cumulatively acked, and arm the timer on the first outstanding
@@ -325,7 +326,8 @@ let send t (msg : Msg.t) i ~cycle =
     let hs = c.hops.(i) in
     let hop = hs.send in
     hs.send <- hop + 1;
-    Queue.add (hop, msg) hs.rtx;
+    Fifo.push hs.rtx hop msg;
+    Bitset.add t.pending i;
     if hs.deadline = max_int then hs.deadline <- cycle + t.rtx_base;
     put t c ~hop msg i ~cycle
   end
@@ -338,7 +340,8 @@ let send t (msg : Msg.t) i ~cycle =
    sender.  In-order acceptance per wire means every node receives the
    identical message sequence as the fault-free run. *)
 let accept t c i msg ~cycle =
-  let hop, csum = Queue.pop c.stamps.(i) in
+  let hop = Fifo.key c.stamps.(i) in
+  let csum = Fifo.pop c.stamps.(i) in
   let hs = c.hops.(i) in
   if csum <> checksum msg then begin
     t.corrupts_detected <- t.corrupts_detected + 1;
@@ -354,52 +357,47 @@ let accept t c i msg ~cycle =
   end
   else begin
     hs.expect <- hs.expect + 1;
-    Queue.add (cycle + t.ack_latency, hop) hs.acks;
+    Fifo.push hs.acks (cycle + t.ack_latency) hop;
     true
   end
 
+(* Every busy wire, in ascending order, hands its arrived copies to its
+   receiver's input buffer and marks the receiver busy; a wire left
+   empty leaves the busy set. *)
 let deliver t c ~cycle =
-  if c.on_wire > 0 then
-    for i = 0 to t.n - 1 do
-      let wire = c.wires.(i) in
-      let continue_ = ref true in
-      while !continue_ && not (Queue.is_empty wire) do
-        let arrival, msg = Queue.peek wire in
-        if arrival <= cycle then begin
-          ignore (Queue.pop wire);
-          c.on_wire <- c.on_wire - 1;
-          if (not t.lossy) || accept t c i msg ~cycle then
-            Queue.add msg c.inbox.(succ t i)
-        end
-        else continue_ := false
-      done
-    done
+  let i = ref (Bitset.next c.busy 0) in
+  while !i >= 0 do
+    let wire = c.wires.(!i) in
+    while (not (Fifo.is_empty wire)) && Fifo.key wire <= cycle do
+      let msg = Fifo.pop wire in
+      if (not t.lossy) || accept t c !i msg ~cycle then begin
+        let r = succ t !i in
+        Fifo.push c.inbox.(r) 0 msg;
+        Bitset.add t.receivers r
+      end
+    done;
+    if Fifo.is_empty wire then Bitset.remove c.busy !i;
+    i := Bitset.next c.busy (!i + 1)
+  done
 
 (* Drain matured acks, advance the cumulative-ack horizon, trim the
    retransmission buffer and re-arm (or disarm) the timer. *)
 let process_acks t hs ~cycle =
   let progressed = ref false in
-  let continue_ = ref true in
-  while !continue_ && not (Queue.is_empty hs.acks) do
-    let learn, hop = Queue.peek hs.acks in
-    if learn <= cycle then begin
-      ignore (Queue.pop hs.acks);
-      if hop > hs.acked then begin
-        hs.acked <- hop;
-        progressed := true
-      end
+  while (not (Fifo.is_empty hs.acks)) && Fifo.key hs.acks <= cycle do
+    let hop = Fifo.pop hs.acks in
+    if hop > hs.acked then begin
+      hs.acked <- hop;
+      progressed := true
     end
-    else continue_ := false
   done;
   if !progressed then begin
-    while
-      (not (Queue.is_empty hs.rtx)) && fst (Queue.peek hs.rtx) <= hs.acked
-    do
-      ignore (Queue.pop hs.rtx)
+    while (not (Fifo.is_empty hs.rtx)) && Fifo.key hs.rtx <= hs.acked do
+      ignore (Fifo.pop hs.rtx)
     done;
     hs.attempt <- 0;
     hs.deadline <-
-      (if Queue.is_empty hs.rtx then max_int else cycle + t.rtx_base)
+      (if Fifo.is_empty hs.rtx then max_int else cycle + t.rtx_base)
   end
 
 (* Timer expiry: resend the oldest unacked window (go-back-N).  Resends
@@ -408,16 +406,11 @@ let process_acks t hs ~cycle =
    any resulting duplicates are discarded by the receiver's hop check. *)
 let check_retransmit t c i ~cycle =
   let hs = c.hops.(i) in
-  if (not (Queue.is_empty hs.rtx)) && cycle >= hs.deadline then begin
-    let count = min t.capacity (Queue.length hs.rtx) in
-    let sent = ref 0 in
-    Queue.iter
-      (fun (hop, msg) ->
-        if !sent < count then begin
-          incr sent;
-          put t c ~hop msg i ~cycle
-        end)
-      hs.rtx;
+  if (not (Fifo.is_empty hs.rtx)) && cycle >= hs.deadline then begin
+    let count = min t.capacity (Fifo.length hs.rtx) in
+    for j = 0 to count - 1 do
+      put t c ~hop:(Fifo.nth_key hs.rtx j) (Fifo.nth hs.rtx j) i ~cycle
+    done;
     t.retransmits <- t.retransmits + count;
     hs.attempt <- hs.attempt + 1;
     hs.deadline <- cycle + (t.rtx_base lsl min hs.attempt max_backoff_shift);
@@ -425,60 +418,82 @@ let check_retransmit t c i ~cycle =
       ~count ~attempt:hs.attempt
   end
 
+let settled hs = Fifo.is_empty hs.rtx && Fifo.is_empty hs.acks
+
+(* On a link outside [pending] both classes have nothing to learn or
+   resend, so the upkeep there is a no-op. *)
 let tick t ~cycle =
   deliver t t.dch ~cycle;
   deliver t t.sch ~cycle;
-  if t.lossy then
-    for i = 0 to t.n - 1 do
-      process_acks t t.dch.hops.(i) ~cycle;
-      process_acks t t.sch.hops.(i) ~cycle;
-      check_retransmit t t.dch i ~cycle;
-      check_retransmit t t.sch i ~cycle
+  if t.lossy then begin
+    let i = ref (Bitset.next t.pending 0) in
+    while !i >= 0 do
+      let d = t.dch.hops.(!i) and s = t.sch.hops.(!i) in
+      process_acks t d ~cycle;
+      process_acks t s ~cycle;
+      check_retransmit t t.dch !i ~cycle;
+      check_retransmit t t.sch !i ~cycle;
+      if settled d && settled s then Bitset.remove t.pending !i;
+      i := Bitset.next t.pending (!i + 1)
     done
+  end
 
 (* Event-engine wake sources, folded without allocating: the ring asks
    for them on every engine step. *)
 let earlier (a : int) b = if a < b then a else b
 
 let hop_wake w hs =
-  let w = if Queue.is_empty hs.rtx then w else earlier w hs.deadline in
-  if Queue.is_empty hs.acks then w else earlier w (fst (Queue.peek hs.acks))
+  let w = if Fifo.is_empty hs.rtx then w else earlier w hs.deadline in
+  if Fifo.is_empty hs.acks then w else earlier w (Fifo.key hs.acks)
 
-let head_wake w q =
-  if Queue.is_empty q then w else earlier w (fst (Queue.peek q))
+let rec timer_wake t i w =
+  if i < 0 then w
+  else
+    timer_wake t
+      (Bitset.next t.pending (i + 1))
+      (hop_wake (hop_wake w t.dch.hops.(i)) t.sch.hops.(i))
 
 let next_timer t =
   if not t.lossy then max_int
+  else timer_wake t (Bitset.next t.pending 0) max_int
+
+(* The busy set holds only non-empty wires, so every visit reads a
+   head. *)
+let rec channel_wake c i w =
+  if i < 0 then w
   else
-    Array.fold_left hop_wake
-      (Array.fold_left hop_wake max_int t.dch.hops)
-      t.sch.hops
+    channel_wake c
+      (Bitset.next c.busy (i + 1))
+      (earlier w (Fifo.key c.wires.(i)))
 
-let channel_wake w c =
-  if c.on_wire = 0 then w else Array.fold_left head_wake w c.wires
-
-let next_arrival t = channel_wake (channel_wake max_int t.dch) t.sch
+let next_arrival t =
+  channel_wake t.sch (Bitset.next t.sch.busy 0)
+    (channel_wake t.dch (Bitset.next t.dch.busy 0) max_int)
 
 let reset t =
   List.iter
     (fun c ->
-      Array.iter Queue.clear c.wires;
-      c.on_wire <- 0;
-      Array.iter Queue.clear c.stamps;
+      Array.iter Fifo.clear c.wires;
+      Bitset.clear c.busy;
+      Array.iter Fifo.clear c.stamps;
       Array.iter
         (fun hs ->
           hs.send <- 0;
           hs.expect <- 0;
           hs.acked <- -1;
-          Queue.clear hs.rtx;
-          Queue.clear hs.acks;
+          Fifo.clear hs.rtx;
+          Fifo.clear hs.acks;
           hs.deadline <- max_int;
           hs.attempt <- 0)
         c.hops)
-    [ t.dch; t.sch ]
+    [ t.dch; t.sch ];
+  Bitset.clear t.pending
 
-let head t ~data i = Queue.peek_opt (chan t ~data).wires.(i)
-let unacked t ~data i = Queue.length (chan t ~data).hops.(i).rtx
+let head t ~data i =
+  let wire = (chan t ~data).wires.(i) in
+  if Fifo.is_empty wire then None else Some (Fifo.key wire, Fifo.peek wire)
+
+let unacked t ~data i = Fifo.length (chan t ~data).hops.(i).rtx
 let retransmits t = t.retransmits
 let drops_detected t = t.drops_detected
 let dups_detected t = t.dups_detected

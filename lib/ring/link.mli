@@ -54,12 +54,13 @@ type t
 
 val create :
   ?trace:Helix_obs.Trace.t -> latency:int -> capacity:int ->
-  inbox_data:Msg.t Queue.t array -> inbox_sig:Msg.t Queue.t array ->
-  fault_plan option -> t
+  inbox_data:Msg.t Fifo.t array -> inbox_sig:Msg.t Fifo.t array ->
+  receivers:Bitset.t -> fault_plan option -> t
 (** Wire [i] runs from node [i] to node [i+1] (mod the node count, the
     length of the inbox arrays).  [inbox_*.(i)] is node [i]'s input
-    buffer: delivery appends to it, and it counts against the credits of
-    the wire that feeds it. *)
+    buffer: delivery appends to it (with key 0), adds [i] to
+    [receivers], and the buffer counts against the credits of the wire
+    that feeds it. *)
 
 val is_lossy : t -> bool
 (** Does the plan attack wire copies (any drop, dup, reorder or corrupt
@@ -77,10 +78,11 @@ val inject_delay : t -> data:bool -> cycle:int -> node:int -> int
 
 val tick : t -> cycle:int -> unit
 (** Deliver every copy that has arrived into the receivers' input
-    buffers, in wire order.  Under go-back-N, discard corrupt, repeated
-    and out-of-order copies, schedule acks for accepted ones, then learn
-    matured acks and fire expired retransmission timers (NIC-level, so
-    this runs for stalled and fail-stopped nodes alike). *)
+    buffers, in wire order, visiting only wires that hold copies.  Under
+    go-back-N, discard corrupt, repeated and out-of-order copies,
+    schedule acks for accepted ones, then learn matured acks and fire
+    expired retransmission timers (NIC-level, so this runs for stalled
+    and fail-stopped nodes alike) on links with unacked copies. *)
 
 val next_timer : t -> int
 (** Earliest retransmission deadline or ack arrival ([max_int] if none):
@@ -88,7 +90,7 @@ val next_timer : t -> int
 
 val next_arrival : t -> int
 (** Earliest arrival among wire heads ([max_int] if all wires are
-    empty). *)
+    empty).  Visits only wires that hold copies. *)
 
 val reset : t -> unit
 (** Empty every wire and forget the protocol state (the distributed

@@ -25,6 +25,9 @@ type t = {
   seq : int;     (* global injection order *)
 }
 
+(* Fills unused queue slots ({!Fifo}); never sent. *)
+let dummy = { payload = Data { addr = 0; value = 0 }; origin = -1; seq = -1 }
+
 let is_data m = match m.payload with Data _ -> true | Sig _ -> false
 
 let pp ppf m =

@@ -4,139 +4,161 @@
    "the line size of this cache array is kept at one machine word",
    guaranteeing no false sharing).  A configurable multi-word line is also
    supported for the false-sharing ablation bench.  An unbounded variant
-   backs the "unlimited resources" configurations of Figure 11d. *)
+   backs the "unlimited resources" configurations of Figure 11d.
 
-type entry = {
-  mutable tag : int;      (* line address *)
-  mutable values : int array; (* one slot per word in the line *)
-  mutable valid : bool;
-  mutable lru : int;
+   The bounded variant stores its ways struct-of-arrays, way [w] of set
+   [s] at index [s * assoc + w]: line address in [tags], last-use clock
+   in [lru], a valid byte in [valid] (a separate bit, because addresses,
+   and so tags, may be negative), and the line's words at
+   [index * line_words] in [values].  Lookup and insert allocate nothing.
+   Line and set indices use floor division, so a negative address has a
+   line and a set like any other. *)
+
+type bounded = {
+  n_sets : int;
+  assoc : int;
+  line_words : int;
+  tags : int array;
+  lru : int array;   (* larger = more recently used *)
+  valid : Bytes.t;
+  values : int array;
+  mutable clock : int;
+  mutable b_hits : int;
+  mutable b_misses : int;
+  mutable evictions : int;
+  mutable b_last : int;  (* value read by the last hitting lookup *)
 }
 
-type t =
-  | Bounded of {
-      sets : entry array array;
-      n_sets : int;
-      line_words : int;
-      mutable clock : int;
-      mutable hits : int;
-      mutable misses : int;
-      mutable evictions : int;
-    }
-  | Unbounded of {
-      tbl : (int, int) Hashtbl.t;
-      mutable hits : int;
-      mutable misses : int;
-    }
+type unbounded = {
+  tbl : (int, int) Hashtbl.t;
+  mutable u_hits : int;
+  mutable u_misses : int;
+  mutable u_last : int;
+}
+
+type t = Bounded of bounded | Unbounded of unbounded
 
 let create ?(line_words = 1) ~size_words ~assoc () =
   if size_words = max_int then
-    Unbounded { tbl = Hashtbl.create 1024; hits = 0; misses = 0 }
+    Unbounded { tbl = Hashtbl.create 1024; u_hits = 0; u_misses = 0; u_last = 0 }
   else
     let n_sets = max 1 (size_words / (assoc * line_words)) in
+    let ways = n_sets * assoc in
     Bounded
       {
-        sets =
-          Array.init n_sets (fun _ ->
-              Array.init assoc (fun _ ->
-                  {
-                    tag = -1;
-                    values = Array.make line_words 0;
-                    valid = false;
-                    lru = 0;
-                  }));
         n_sets;
+        assoc;
         line_words;
+        tags = Array.make ways 0;
+        lru = Array.make ways 0;
+        valid = Bytes.make ways '\000';
+        values = Array.make (ways * line_words) 0;
         clock = 0;
-        hits = 0;
-        misses = 0;
+        b_hits = 0;
+        b_misses = 0;
         evictions = 0;
+        b_last = 0;
       }
 
-(* [lookup t addr] returns the cached value if present. *)
+let floor_div a b = if a >= 0 then a / b else ((a + 1) / b) - 1
+let line_of b addr = if b.line_words = 1 then addr else floor_div addr b.line_words
+let base_of b tag =
+  let s = tag mod b.n_sets in
+  (if s < 0 then s + b.n_sets else s) * b.assoc
+
+let word_of b addr tag = addr - (tag * b.line_words)
+let is_valid b i = Bytes.unsafe_get b.valid i <> '\000'
+
+(* Index of the valid way holding [tag] in the set at [base], or -1. *)
+let rec find b base tag w =
+  if w = b.assoc then -1
+  else
+    let i = base + w in
+    if is_valid b i && b.tags.(i) = tag then i else find b base tag (w + 1)
+
+(* The replacement victim: the last invalid way if there is one, else
+   the least recently used valid way (the first on a tie). *)
+let rec victim b base w v =
+  if w = b.assoc then v
+  else
+    let i = base + w in
+    let v =
+      if not (is_valid b i) then i
+      else if is_valid b v && b.lru.(i) < b.lru.(v) then i
+      else v
+    in
+    victim b base (w + 1) v
+
+(* [lookup t addr]: is [addr] cached?  Counts a hit or a miss; after a
+   hit, [last_hit t] is the cached value. *)
 let lookup t addr =
   match t with
-  | Unbounded u -> begin
-      match Hashtbl.find_opt u.tbl addr with
-      | Some v ->
-          u.hits <- u.hits + 1;
-          Some v
-      | None ->
-          u.misses <- u.misses + 1;
-          None
-    end
+  | Unbounded u -> (
+      match Hashtbl.find u.tbl addr with
+      | v ->
+          u.u_hits <- u.u_hits + 1;
+          u.u_last <- v;
+          true
+      | exception Not_found ->
+          u.u_misses <- u.u_misses + 1;
+          false)
   | Bounded b ->
-      let tag = addr / b.line_words in
-      let set = b.sets.(tag mod b.n_sets) in
-      let found = ref None in
-      Array.iter (fun e -> if e.valid && e.tag = tag then found := Some e) set;
-      (match !found with
-      | Some e ->
-          b.hits <- b.hits + 1;
-          b.clock <- b.clock + 1;
-          e.lru <- b.clock;
-          Some e.values.(addr mod b.line_words)
-      | None ->
-          b.misses <- b.misses + 1;
-          None)
+      let tag = line_of b addr in
+      let i = find b (base_of b tag) tag 0 in
+      if i >= 0 then begin
+        b.b_hits <- b.b_hits + 1;
+        b.clock <- b.clock + 1;
+        b.lru.(i) <- b.clock;
+        b.b_last <- b.values.((i * b.line_words) + word_of b addr tag);
+        true
+      end
+      else begin
+        b.b_misses <- b.b_misses + 1;
+        false
+      end
 
-(* [insert t addr value] writes a word, allocating its line; returns the
-   evicted line [(line_addr, values)] if a valid line was displaced. *)
+let last_hit = function Unbounded u -> u.u_last | Bounded b -> b.b_last
+
+(* [insert t addr value] writes a word, allocating its line (and zeroing
+   the line's other words) on a miss. *)
 let insert t addr value =
   match t with
-  | Unbounded u ->
-      Hashtbl.replace u.tbl addr value;
-      None
+  | Unbounded u -> Hashtbl.replace u.tbl addr value
   | Bounded b ->
-      let tag = addr / b.line_words in
-      let set = b.sets.(tag mod b.n_sets) in
-      let found = ref None in
-      Array.iter (fun e -> if e.valid && e.tag = tag then found := Some e) set;
+      let tag = line_of b addr in
+      let base = base_of b tag in
+      let i = find b base tag 0 in
       b.clock <- b.clock + 1;
-      (match !found with
-      | Some e ->
-          e.values.(addr mod b.line_words) <- value;
-          e.lru <- b.clock;
-          None
-      | None ->
-          let victim = ref set.(0) in
-          Array.iter
-            (fun e ->
-              if not e.valid then victim := e
-              else if !victim.valid && e.lru < !victim.lru then victim := e)
-            set;
-          let v = !victim in
-          let evicted =
-            if v.valid then begin
-              b.evictions <- b.evictions + 1;
-              Some (v.tag * b.line_words, Array.copy v.values)
-            end
-            else None
-          in
-          v.tag <- tag;
-          Array.fill v.values 0 (Array.length v.values) 0;
-          v.values.(addr mod b.line_words) <- value;
-          v.valid <- true;
-          v.lru <- b.clock;
-          evicted)
+      let i =
+        if i >= 0 then i
+        else begin
+          let v = victim b base 0 base in
+          if is_valid b v then b.evictions <- b.evictions + 1;
+          b.tags.(v) <- tag;
+          Array.fill b.values (v * b.line_words) b.line_words 0;
+          Bytes.unsafe_set b.valid v '\001';
+          v
+        end
+      in
+      b.values.((i * b.line_words) + word_of b addr tag) <- value;
+      b.lru.(i) <- b.clock
 
 let invalidate t addr =
   match t with
   | Unbounded u -> Hashtbl.remove u.tbl addr
   | Bounded b ->
-      let tag = addr / b.line_words in
-      Array.iter
-        (fun e -> if e.valid && e.tag = tag then e.valid <- false)
-        b.sets.(tag mod b.n_sets)
+      let tag = line_of b addr in
+      let i = find b (base_of b tag) tag 0 in
+      if i >= 0 then Bytes.unsafe_set b.valid i '\000'
 
 let clear t =
   match t with
   | Unbounded u -> Hashtbl.reset u.tbl
-  | Bounded b ->
-      Array.iter (fun set -> Array.iter (fun e -> e.valid <- false) set) b.sets
+  | Bounded b -> Bytes.fill b.valid 0 (Bytes.length b.valid) '\000'
 
-let hits t = match t with Unbounded u -> u.hits | Bounded b -> b.hits
-let misses t = match t with Unbounded u -> u.misses | Bounded b -> b.misses
+let hits = function Unbounded u -> u.u_hits | Bounded b -> b.b_hits
+let misses = function Unbounded u -> u.u_misses | Bounded b -> b.b_misses
+let evictions = function Unbounded _ -> 0 | Bounded b -> b.evictions
 
 let hit_rate t =
   let h = hits t and m = misses t in

@@ -86,11 +86,10 @@ type node = {
   id : int;
   array : Node_array.t;
   sigbuf : Signal_buffer.t;
-  in_data : Msg.t Queue.t;
-  in_sig : Msg.t Queue.t;
-  inject_data : (int * Msg.payload * int) Queue.t;
-      (* (ready_cycle, payload, acceptance seq) *)
-  inject_sig : (int * Msg.payload * int) Queue.t;
+  in_data : Msg.t Fifo.t;
+  in_sig : Msg.t Fifo.t;
+  inject_data : Msg.t Fifo.t;  (* keyed by the cycle it may leave *)
+  inject_sig : Msg.t Fifo.t;
   mutable stall_until : int;              (* busy with L1 traffic *)
   mutable forwarded : int;
   mutable injected : int;
@@ -107,6 +106,11 @@ type t = {
   env : env;
   trace : Helix_obs.Trace.t option;
   nodes : node array;
+  busy : Bitset.t;
+      (* superset of the nodes holding a message (input buffers or
+         injection queues): [tick] and [next_event] visit only these.
+         Added to on injection and delivery, cleared by [tick] once a
+         node it ran is empty. *)
   link : Link.t;  (* wire i: node i -> node i+1, both classes *)
   mutable next_seq : int;
   current : (int, int) Hashtbl.t;      (* authoritative loop-shared image *)
@@ -148,10 +152,10 @@ let create ?trace (cfg : config) (env : env) : t =
             Node_array.create ~line_words:cfg.array_line_words
               ~size_words:cfg.array_size_words ~assoc:cfg.array_assoc ();
           sigbuf = Signal_buffer.create ();
-          in_data = Queue.create ();
-          in_sig = Queue.create ();
-          inject_data = Queue.create ();
-          inject_sig = Queue.create ();
+          in_data = Fifo.create ~dummy:Msg.dummy;
+          in_sig = Fifo.create ~dummy:Msg.dummy;
+          inject_data = Fifo.create ~dummy:Msg.dummy;
+          inject_sig = Fifo.create ~dummy:Msg.dummy;
           stall_until = 0;
           forwarded = 0;
           injected = 0;
@@ -160,17 +164,19 @@ let create ?trace (cfg : config) (env : env) : t =
           dead = false;
         })
   in
+  let busy = Bitset.create cfg.n_nodes in
   {
     cfg;
     env;
     trace;
     nodes;
+    busy;
     link =
       Link.create ?trace ~latency:cfg.link_latency
         ~capacity:cfg.link_capacity
         ~inbox_data:(Array.map (fun n -> n.in_data) nodes)
         ~inbox_sig:(Array.map (fun n -> n.in_sig) nodes)
-        cfg.faults;
+        ~receivers:busy cfg.faults;
     next_seq = 0;
     current = Hashtbl.create 1024;
     meta = Hashtbl.create 1024;
@@ -215,7 +221,7 @@ let finalize_meta t addr =
    updated immediately: acceptance order is the protocol's store order. *)
 let try_store t ~node ~addr ~value ~cycle =
   let n = t.nodes.(node) in
-  if Queue.length n.inject_data >= t.cfg.inject_capacity then begin
+  if Fifo.length n.inject_data >= t.cfg.inject_capacity then begin
     t.blocked_injections <- t.blocked_injections + 1;
     Helix_obs.Trace.inject_blocked t.trace ~cycle ~node ~cls:"data";
     false
@@ -226,7 +232,7 @@ let try_store t ~node ~addr ~value ~cycle =
       { sm_origin = node; sm_consumers = 0; sm_first_dist = None };
     Hashtbl.replace t.current addr value;
     (* locally visible right away; remote nodes see it when it arrives *)
-    ignore (Node_array.insert n.array addr value);
+    Node_array.insert n.array addr value;
     Hashtbl.replace t.resident addr ();
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
@@ -234,9 +240,10 @@ let try_store t ~node ~addr ~value ~cycle =
     (* the store is applied locally at acceptance *)
     n.applied_data.(node) <- seq;
     let j = Link.inject_delay t.link ~data:true ~cycle ~node in
-    Queue.add
-      (cycle + t.cfg.injection_latency + j, Msg.Data { addr; value }, seq)
-      n.inject_data;
+    Fifo.push n.inject_data
+      (cycle + t.cfg.injection_latency + j)
+      { Msg.payload = Msg.Data { addr; value }; origin = node; seq };
+    Bitset.add t.busy node;
     t.inflight_data <- t.inflight_data + 1;
     Helix_obs.Trace.store_inject t.trace ~cycle ~node ~addr ~value ~seq;
     true
@@ -244,7 +251,7 @@ let try_store t ~node ~addr ~value ~cycle =
 
 let try_signal t ~node ~seg ~cycle =
   let n = t.nodes.(node) in
-  if Queue.length n.inject_sig >= t.cfg.inject_capacity then begin
+  if Fifo.length n.inject_sig >= t.cfg.inject_capacity then begin
     t.blocked_injections <- t.blocked_injections + 1;
     Helix_obs.Trace.inject_blocked t.trace ~cycle ~node ~cls:"sig";
     false
@@ -253,11 +260,11 @@ let try_signal t ~node ~seg ~cycle =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     let j = Link.inject_delay t.link ~data:false ~cycle ~node in
-    Queue.add
-      ( cycle + t.cfg.injection_latency + j,
-        Msg.Sig { seg; barrier = n.last_accepted_data },
-        seq )
-      n.inject_sig;
+    Fifo.push n.inject_sig
+      (cycle + t.cfg.injection_latency + j)
+      { Msg.payload = Msg.Sig { seg; barrier = n.last_accepted_data };
+        origin = node; seq };
+    Bitset.add t.busy node;
     t.inflight_sig <- t.inflight_sig + 1;
     Helix_obs.Trace.signal_inject t.trace ~cycle ~node ~seg ~seq
       ~barrier:n.last_accepted_data;
@@ -272,43 +279,45 @@ let try_signal t ~node ~seg ~cycle =
    value. *)
 let load t ~node ~addr ~cycle =
   let n = t.nodes.(node) in
-  match Node_array.lookup n.array addr with
-  | Some v ->
-      t.ring_hits <- t.ring_hits + 1;
-      (* consumer tracking for Figures 4b/4c *)
-      (match Hashtbl.find_opt t.meta addr with
-      | Some m when m.sm_origin <> node ->
-          m.sm_consumers <- m.sm_consumers lor (1 lsl node);
-          if m.sm_first_dist = None then
-            m.sm_first_dist <-
-              Some
-                (Owner.undirected_distance ~n_nodes:t.cfg.n_nodes
-                   ~src:m.sm_origin ~dst:node)
-      | _ -> ());
-      (v, t.cfg.injection_latency + 1)
-  | None ->
-      t.ring_misses <- t.ring_misses + 1;
-      let owner = Owner.node_of ~n_nodes:t.cfg.n_nodes addr in
-      let value =
-        match Hashtbl.find_opt t.current addr with
-        | Some v -> v
-        | None -> t.env.backing_load addr
-      in
-      (* round trip: to the owner and back around the ring, plus the
-         owner's L1 access; the owner stalls while servicing *)
-      let l1 =
-        t.env.owner_l1_latency ~core:owner ~cycle ~write:false ~addr
-      in
-      let lat =
-        t.cfg.injection_latency
-        + (t.cfg.n_nodes * t.cfg.link_latency)
-        + l1
-      in
-      let on = t.nodes.(owner) in
-      on.stall_until <- max on.stall_until (cycle + l1);
-      ignore (Node_array.insert n.array addr value);
-      Hashtbl.replace t.resident addr ();
-      (value, lat)
+  if Node_array.lookup n.array addr then begin
+    let v = Node_array.last_hit n.array in
+    t.ring_hits <- t.ring_hits + 1;
+    (* consumer tracking for Figures 4b/4c *)
+    (match Hashtbl.find_opt t.meta addr with
+    | Some m when m.sm_origin <> node ->
+        m.sm_consumers <- m.sm_consumers lor (1 lsl node);
+        if m.sm_first_dist = None then
+          m.sm_first_dist <-
+            Some
+              (Owner.undirected_distance ~n_nodes:t.cfg.n_nodes
+                 ~src:m.sm_origin ~dst:node)
+    | _ -> ());
+    (v, t.cfg.injection_latency + 1)
+  end
+  else begin
+    t.ring_misses <- t.ring_misses + 1;
+    let owner = Owner.node_of ~n_nodes:t.cfg.n_nodes addr in
+    let value =
+      match Hashtbl.find_opt t.current addr with
+      | Some v -> v
+      | None -> t.env.backing_load addr
+    in
+    (* round trip: to the owner and back around the ring, plus the
+       owner's L1 access; the owner stalls while servicing *)
+    let l1 =
+      t.env.owner_l1_latency ~core:owner ~cycle ~write:false ~addr
+    in
+    let lat =
+      t.cfg.injection_latency
+      + (t.cfg.n_nodes * t.cfg.link_latency)
+      + l1
+    in
+    let on = t.nodes.(owner) in
+    on.stall_until <- max on.stall_until (cycle + l1);
+    Node_array.insert n.array addr value;
+    Hashtbl.replace t.resident addr ();
+    (value, lat)
+  end
 
 (* Has [node] received at least [threshold] signals for [seg] from
    [origin]?  (The executor derives thresholds from iteration indices.) *)
@@ -357,7 +366,7 @@ let cls_name ~data = if data then "data" else "sig"
 let apply_at t (n : node) (msg : Msg.t) =
   (match msg.Msg.payload with
   | Msg.Data { addr; value } ->
-      ignore (Node_array.insert n.array addr value);
+      Node_array.insert n.array addr value;
       if msg.Msg.seq > n.applied_data.(msg.Msg.origin) then
         n.applied_data.(msg.Msg.origin) <- msg.Msg.seq
   | Msg.Sig { seg; _ } ->
@@ -385,8 +394,8 @@ let run_class t (n : node) ~data ~cycle =
   in
   let forwarded_any = ref false in
   let continue_ = ref true in
-  while !continue_ && !budget > 0 && not (Queue.is_empty in_q) do
-    let msg = Queue.peek in_q in
+  while !continue_ && !budget > 0 && not (Fifo.is_empty in_q) do
+    let msg = Fifo.peek in_q in
     let origin = msg.Msg.origin in
     if (not n.dead) && not (lockstep_ok n ~origin msg.Msg.payload) then begin
       (match msg.Msg.payload with
@@ -403,7 +412,7 @@ let run_class t (n : node) ~data ~cycle =
       continue_ := false (* back-pressure: wait for credits *)
     end
     else begin
-      ignore (Queue.pop in_q);
+      ignore (Fifo.pop in_q);
       decr budget;
       if (if n.dead then succ t n.id <> origin else apply_at t n msg) then begin
         Link.send t.link msg n.id ~cycle;
@@ -422,25 +431,24 @@ let run_class t (n : node) ~data ~cycle =
   then begin
     let inject_q = if data then n.inject_data else n.inject_sig in
     let continue_ = ref true in
-    while !continue_ && !budget > 0 && not (Queue.is_empty inject_q) do
-      let ready, payload, seq = Queue.peek inject_q in
+    while !continue_ && !budget > 0 && not (Fifo.is_empty inject_q) do
+      let msg = Fifo.peek inject_q in
       if
-        ready > cycle
-        || (not (lockstep_ok n ~origin:n.id payload))
+        Fifo.key inject_q > cycle
+        || (not (lockstep_ok n ~origin:n.id msg.Msg.payload))
         || Link.free_space t.link ~data n.id <= 0
       then continue_ := false
       else begin
-        ignore (Queue.pop inject_q);
+        ignore (Fifo.pop inject_q);
         decr budget;
-        if t.cfg.n_nodes > 1 then
-          Link.send t.link { Msg.payload; origin = n.id; seq } n.id ~cycle
+        if t.cfg.n_nodes > 1 then Link.send t.link msg n.id ~cycle
         else begin
           (* degenerate single-node ring: the message retires at its
              own origin without travelling, but a signal must still
              land in the local sigbuf or it vanishes from the
              outstanding-signal accounting and from deadlock reports
              (data was already applied locally at acceptance) *)
-          (match payload with
+          (match msg.Msg.payload with
           | Msg.Sig { seg; _ } ->
               Signal_buffer.record n.sigbuf ~seg ~origin:n.id
           | Msg.Data _ -> ());
@@ -452,23 +460,28 @@ let run_class t (n : node) ~data ~cycle =
   end
 
 (* A node with nothing buffered and nothing to inject: [run_class] on it
-   is a no-op for both classes. *)
+   is a no-op for both classes, so it may leave the busy set. *)
 let empty (n : node) =
-  Queue.is_empty n.in_data && Queue.is_empty n.in_sig
-  && Queue.is_empty n.inject_data && Queue.is_empty n.inject_sig
+  Fifo.is_empty n.in_data && Fifo.is_empty n.in_sig
+  && Fifo.is_empty n.inject_data && Fifo.is_empty n.inject_sig
 
 (* 1. the link layer delivers arrived copies into input buffers (and, on a
-   lossy plan, runs its recovery upkeep); 2. every node, in ascending
-   order, moves its two classes; empty nodes are skipped.  A dead node is
-   not gated by L1 stalls: there is no core left to stall it. *)
+   lossy plan, runs its recovery upkeep); 2. every busy node, in
+   ascending order, moves its two classes, and leaves the busy set once
+   empty.  Nodes outside the set are empty, so skipping them is what the
+   scan over all nodes did.  A dead node is not gated by L1 stalls: there
+   is no core left to stall it. *)
 let tick t ~cycle =
   Link.tick t.link ~cycle;
-  for i = 0 to Array.length t.nodes - 1 do
-    let n = Array.unsafe_get t.nodes i in
-    if (n.dead || cycle >= n.stall_until) && not (empty n) then begin
+  let i = ref (Bitset.next t.busy 0) in
+  while !i >= 0 do
+    let n = t.nodes.(!i) in
+    if n.dead || cycle >= n.stall_until then begin
       run_class t n ~data:true ~cycle;
       run_class t n ~data:false ~cycle
-    end
+    end;
+    if empty n then Bitset.remove t.busy !i;
+    i := Bitset.next t.busy (!i + 1)
   done
 
 (* Fail-stop: the node's core dies at [cycle] and the ring reknits around
@@ -489,10 +502,10 @@ let kill_node t ~node ~cycle =
   if n.dead then (0, 0)
   else begin
     n.dead <- true;
-    let lost_d = Queue.length n.inject_data in
-    let lost_s = Queue.length n.inject_sig in
-    Queue.clear n.inject_data;
-    Queue.clear n.inject_sig;
+    let lost_d = Fifo.length n.inject_data in
+    let lost_s = Fifo.length n.inject_sig in
+    Fifo.clear n.inject_data;
+    Fifo.clear n.inject_sig;
     t.inflight_data <- t.inflight_data - lost_d;
     t.inflight_sig <- t.inflight_sig - lost_s;
     t.reknits <- t.reknits + 1;
@@ -525,25 +538,21 @@ let[@inline] earliest ~now c w =
   let c = if c < now then now else c in
   if c < w then c else w
 
-let[@inline] ready_at q =
-  if Queue.is_empty q then max_int
-  else
-    let ready, _, _ = Queue.peek q in
-    ready
+let[@inline] ready_at q = if Fifo.is_empty q then max_int else Fifo.key q
 
 let sig_head_ready n =
-  (not (Queue.is_empty n.in_sig))
+  (not (Fifo.is_empty n.in_sig))
   &&
-  let msg = Queue.peek n.in_sig in
+  let msg = Fifo.peek n.in_sig in
   lockstep_ok n ~origin:msg.Msg.origin msg.Msg.payload
 
+(* The fold visits busy nodes only: an empty node publishes no bound. *)
 let rec scan_nodes t ~now i w =
-  if i = Array.length t.nodes then
-    earliest ~now (Link.next_arrival t.link) w
+  if i < 0 then earliest ~now (Link.next_arrival t.link) w
   else
-    let n = Array.unsafe_get t.nodes i in
+    let n = t.nodes.(i) in
     let buffered =
-      not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig)
+      not (Fifo.is_empty n.in_data && Fifo.is_empty n.in_sig)
     in
     let w =
       if n.dead then
@@ -554,12 +563,12 @@ let rec scan_nodes t ~now i w =
         let w = if buffered then earliest ~now n.stall_until w else w in
         let w = earliest ~now (max (ready_at n.inject_data) n.stall_until) w in
         earliest ~now (max (ready_at n.inject_sig) n.stall_until) w
-      else if (not (Queue.is_empty n.in_data)) || sig_head_ready n then now
+      else if (not (Fifo.is_empty n.in_data)) || sig_head_ready n then now
       else
         earliest ~now (ready_at n.inject_sig)
           (earliest ~now (ready_at n.inject_data) w)
     in
-    if w <= now then now else scan_nodes t ~now (i + 1) w
+    if w <= now then now else scan_nodes t ~now (Bitset.next t.busy (i + 1)) w
 
 (* Retransmission timers and pending acks are wake sources of their own:
    folding them in here is what lets retransmit deadlines participate in
@@ -570,7 +579,7 @@ let rec scan_nodes t ~now i w =
 let next_event t ~now =
   let w = earliest ~now (Link.next_timer t.link) max_int in
   if t.inflight_data = 0 && t.inflight_sig = 0 then w
-  else scan_nodes t ~now 0 w
+  else scan_nodes t ~now (Bitset.next t.busy 0) w
 
 (* Is any message still in flight (links, input buffers, injections)?
    O(1) via the inflight roll-up. *)
@@ -585,16 +594,17 @@ let reset_traffic t =
   Array.iter
     (fun n ->
       Signal_buffer.reset n.sigbuf;
-      Queue.clear n.in_data;
-      Queue.clear n.in_sig;
-      Queue.clear n.inject_data;
-      Queue.clear n.inject_sig;
+      Fifo.clear n.in_data;
+      Fifo.clear n.in_sig;
+      Fifo.clear n.inject_data;
+      Fifo.clear n.inject_sig;
       (* a global synchronization point: every message accepted so far
          counts as applied, so stale lockstep barriers cannot wedge the
          next parallel loop *)
       Array.fill n.applied_data 0 (Array.length n.applied_data)
         (t.next_seq - 1))
     t.nodes;
+  Bitset.clear t.busy;
   Link.reset t.link;
   t.inflight_data <- 0;
   t.inflight_sig <- 0
@@ -685,9 +695,9 @@ let describe t =
            (if n.dead then " [DEAD]" else "")
            (let d = Signal_buffer.dump n.sigbuf in
             if d = "" then " (empty)" else d)
-           (Queue.length n.in_data) (Queue.length n.in_sig)
-           (Queue.length n.inject_data)
-           (Queue.length n.inject_sig)
+           (Fifo.length n.in_data) (Fifo.length n.in_sig)
+           (Fifo.length n.inject_data)
+           (Fifo.length n.inject_sig)
            n.stall_until n.last_accepted_data
            (String.concat ","
               (Array.to_list (Array.map string_of_int n.applied_data)))))
@@ -713,11 +723,8 @@ let snapshot t : Helix_obs.Json.t =
   let open Helix_obs in
   let queue_msgs q =
     Json.List
-      (Queue.fold
-         (fun acc (m : Msg.t) ->
-           Json.String (Format.asprintf "%a" Msg.pp m) :: acc)
-         [] q
-      |> List.rev)
+      (List.init (Fifo.length q) (fun j ->
+           Json.String (Format.asprintf "%a" Msg.pp (Fifo.nth q j))))
   in
   let node_json (n : node) =
     Json.Obj
@@ -733,8 +740,8 @@ let snapshot t : Helix_obs.Json.t =
             (Array.to_list (Array.map (fun s -> Json.Int s) n.applied_data)) );
         ("in_data", queue_msgs n.in_data);
         ("in_sig", queue_msgs n.in_sig);
-        ("inject_data_len", Json.Int (Queue.length n.inject_data));
-        ("inject_sig_len", Json.Int (Queue.length n.inject_sig));
+        ("inject_data_len", Json.Int (Fifo.length n.inject_data));
+        ("inject_sig_len", Json.Int (Fifo.length n.inject_sig));
         ("rtx_data_len", Json.Int (Link.unacked t.link ~data:true n.id));
         ("rtx_sig_len", Json.Int (Link.unacked t.link ~data:false n.id));
         ( "sigbuf",

@@ -96,7 +96,8 @@ val tick : t -> cycle:int -> unit
     messages (see {!Link.tick}), then every node forwards with priority
     over injection (strictly on the data wires) and injects.
     Fail-stopped nodes act as repeaters: they forward and retire but
-    never apply. *)
+    never apply.  Only nodes holding a message are visited, so a tick
+    costs what the traffic costs and allocates nothing. *)
 
 val kill_node : t -> node:int -> cycle:int -> int * int
 (** Fail-stop [node]'s core and reknit the ring around it (the node
@@ -122,7 +123,10 @@ val next_event : t -> now:int -> int
     lossy plan, retransmission deadlines and pending-ack learn cycles
     are wake sources too (even when nothing is logically in flight), so
     recovery timers participate in idle-cycle skipping instead of
-    requiring per-cycle polling. *)
+    requiring per-cycle polling.  A store, signal, load or [kill_node]
+    changes the ring from outside its clock: ask again after one.  The
+    fold visits only nodes, wires and links holding traffic and
+    allocates nothing. *)
 
 val drained : t -> bool
 (** No message in flight anywhere.  O(1): maintained incrementally from

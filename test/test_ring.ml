@@ -9,47 +9,48 @@ let tc name f = Alcotest.test_case name `Quick f
 
 (* ---- node array ---------------------------------------------------- *)
 
+(* [Node_array.lookup] as an option, for readable checks. *)
+let lookup a addr =
+  if Node_array.lookup a addr then Some (Node_array.last_hit a) else None
+
 let node_array_tests =
   [
     tc "insert then lookup" (fun () ->
         let a = Node_array.create ~size_words:32 ~assoc:4 () in
-        ignore (Node_array.insert a 100 7);
-        check Alcotest.(option int) "hit" (Some 7) (Node_array.lookup a 100));
+        Node_array.insert a 100 7;
+        check Alcotest.(option int) "hit" (Some 7) (lookup a 100));
     tc "missing address" (fun () ->
         let a = Node_array.create ~size_words:32 ~assoc:4 () in
-        check Alcotest.(option int) "miss" None (Node_array.lookup a 5));
+        check Alcotest.(option int) "miss" None (lookup a 5));
     tc "update in place" (fun () ->
         let a = Node_array.create ~size_words:32 ~assoc:4 () in
-        ignore (Node_array.insert a 100 7);
-        ignore (Node_array.insert a 100 8);
-        check Alcotest.(option int) "updated" (Some 8)
-          (Node_array.lookup a 100));
+        Node_array.insert a 100 7;
+        Node_array.insert a 100 8;
+        check Alcotest.(option int) "updated" (Some 8) (lookup a 100));
     tc "capacity eviction" (fun () ->
         (* 8 words, 1-way, line 1: 8 sets; conflicting addresses share a set *)
         let a = Node_array.create ~size_words:8 ~assoc:1 () in
-        ignore (Node_array.insert a 0 1);
-        (match Node_array.insert a 8 2 with
-        | Some (0, _) -> ()
-        | _ -> Alcotest.fail "expected eviction of line 0");
-        check Alcotest.(option int) "old gone" None (Node_array.lookup a 0));
+        Node_array.insert a 0 1;
+        Node_array.insert a 8 2;
+        check Alcotest.int "line 0 evicted" 1 (Node_array.evictions a);
+        check Alcotest.(option int) "old gone" None (lookup a 0));
     tc "invalidate" (fun () ->
         let a = Node_array.create ~size_words:32 ~assoc:4 () in
-        ignore (Node_array.insert a 100 7);
+        Node_array.insert a 100 7;
         Node_array.invalidate a 100;
-        check Alcotest.(option int) "gone" None (Node_array.lookup a 100));
+        check Alcotest.(option int) "gone" None (lookup a 100));
     tc "unbounded variant never evicts" (fun () ->
         let a = Node_array.create ~size_words:max_int ~assoc:8 () in
         for i = 0 to 9999 do
-          ignore (Node_array.insert a i i)
+          Node_array.insert a i i
         done;
-        check Alcotest.(option int) "first still in" (Some 0)
-          (Node_array.lookup a 0));
+        check Alcotest.(option int) "first still in" (Some 0) (lookup a 0));
     tc "multi-word line groups words" (fun () ->
         let a = Node_array.create ~line_words:4 ~size_words:32 ~assoc:2 () in
-        ignore (Node_array.insert a 8 1);
-        ignore (Node_array.insert a 9 2);
-        check Alcotest.(option int) "word 8" (Some 1) (Node_array.lookup a 8);
-        check Alcotest.(option int) "word 9" (Some 2) (Node_array.lookup a 9));
+        Node_array.insert a 8 1;
+        Node_array.insert a 9 2;
+        check Alcotest.(option int) "word 8" (Some 1) (lookup a 8);
+        check Alcotest.(option int) "word 9" (Some 2) (lookup a 9));
   ]
 
 (* ---- signal buffer --------------------------------------------------- *)
@@ -883,6 +884,466 @@ let fault_tests =
         | _ -> Alcotest.fail "snapshot not an object");
   ]
 
+(* ---- array FIFO ------------------------------------------------------------ *)
+
+type fifo_op = Push of int * int | Pop | Clear | Swap
+
+(* Mostly pushes, so most cases grow past the initial 8 slots. *)
+let gen_fifo_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 300)
+      (frequency
+         [
+           (8, map2 (fun k v -> Push (k, v)) small_signed_int small_signed_int);
+           (4, return Pop);
+           (2, return Swap);
+           (1, return Clear);
+         ]))
+
+let print_fifo_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Push (k, v) -> Fmt.str "push(%d,%d)" k v
+         | Pop -> "pop"
+         | Clear -> "clear"
+         | Swap -> "swap")
+       ops)
+
+(* The reorder fault's swap as the wires did it on a [Stdlib.Queue]. *)
+let queue_swap_last_two q =
+  let a = Array.of_seq (Queue.to_seq q) in
+  let n = Array.length a in
+  if n >= 2 then begin
+    let last = a.(n - 1) in
+    a.(n - 1) <- a.(n - 2);
+    a.(n - 2) <- last;
+    Queue.clear q;
+    Array.iter (fun x -> Queue.add x q) a
+  end
+
+let prop_fifo_matches_queue =
+  QCheck.Test.make ~name:"fifo: same entries and pops as Stdlib.Queue"
+    ~count:500
+    (QCheck.make ~print:print_fifo_ops gen_fifo_ops)
+    (fun ops ->
+      let f = Fifo.create ~dummy:0 and q = Queue.create () in
+      let same () =
+        Fifo.length f = Queue.length q
+        && Fifo.is_empty f = Queue.is_empty q
+        && List.init (Fifo.length f) (fun j -> (Fifo.nth_key f j, Fifo.nth f j))
+           = List.of_seq (Queue.to_seq q)
+        && (Queue.is_empty q || (Fifo.key f, Fifo.peek f) = Queue.peek q)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (k, v) ->
+              Fifo.push f k v;
+              Queue.add (k, v) q;
+              true
+          | Pop -> Queue.is_empty q || snd (Queue.pop q) = Fifo.pop f
+          | Clear ->
+              Fifo.clear f;
+              Queue.clear q;
+              true
+          | Swap ->
+              Fifo.swap_last_two f;
+              queue_swap_last_two q;
+              true)
+          && same ())
+        ops)
+
+let fifo_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_fifo_matches_queue;
+    tc "grows past its initial capacity in order" (fun () ->
+        let f = Fifo.create ~dummy:"" in
+        for i = 0 to 99 do
+          Fifo.push f i (string_of_int i);
+          if i mod 3 = 0 then ignore (Fifo.pop f)
+        done;
+        check Alcotest.int "length" 66 (Fifo.length f);
+        check Alcotest.(pair int string) "head" (34, "34")
+          (Fifo.key f, Fifo.peek f);
+        check Alcotest.(pair int string) "tail" (99, "99")
+          (Fifo.nth_key f 65, Fifo.nth f 65));
+    tc "push and pop allocate nothing" (fun () ->
+        let f = Fifo.create ~dummy:Msg.dummy in
+        let before = Gc.minor_words () in
+        for i = 0 to 9_999 do
+          Fifo.push f i Msg.dummy;
+          if i land 1 = 1 then begin
+            ignore (Fifo.pop f);
+            ignore (Fifo.pop f)
+          end
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "10k pushes and pops allocated %.0f words" words)
+          true (words < 100.));
+  ]
+
+(* ---- busy sets ------------------------------------------------------------- *)
+
+let prop_bitset_matches_bool_array =
+  QCheck.Test.make ~name:"bitset: the ascending walk matches a bool array"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 140)
+        (list_of_size (Gen.int_range 0 200) (pair bool (int_bound 1_000))))
+    (fun (n, ops) ->
+      let s = Bitset.create n and model = Array.make n false in
+      List.iter
+        (fun (add, k) ->
+          let i = k mod n in
+          if add then Bitset.add s i else Bitset.remove s i;
+          model.(i) <- add)
+        ops;
+      let rec walk i acc =
+        if i < 0 then List.rev acc else walk (Bitset.next s (i + 1)) (i :: acc)
+      in
+      walk (Bitset.next s 0) []
+      = List.filter (fun i -> model.(i)) (List.init n Fun.id))
+
+let bitset_tests = [ QCheck_alcotest.to_alcotest prop_bitset_matches_bool_array ]
+
+(* ---- node array against the record model ---------------------------------- *)
+
+(* The record-per-way model the flat [Node_array] replaced, kept as the
+   differential reference.  One change: line and set indices use floor
+   division, as the flat model does, so negative addresses index a set
+   (the original raised on them). *)
+module Record_array = struct
+  type entry = {
+    mutable tag : int;
+    mutable values : int array;
+    mutable valid : bool;
+    mutable lru : int;
+  }
+
+  type t = {
+    sets : entry array array;
+    n_sets : int;
+    line_words : int;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create ~line_words ~size_words ~assoc =
+    let n_sets = max 1 (size_words / (assoc * line_words)) in
+    {
+      sets =
+        Array.init n_sets (fun _ ->
+            Array.init assoc (fun _ ->
+                { tag = -1; values = Array.make line_words 0; valid = false;
+                  lru = 0 }));
+      n_sets;
+      line_words;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
+  let fmod a b = a - (fdiv a b * b)
+  let set_of t tag = t.sets.(fmod tag t.n_sets)
+
+  let lookup t addr =
+    let tag = fdiv addr t.line_words in
+    let found = ref None in
+    Array.iter (fun e -> if e.valid && e.tag = tag then found := Some e)
+      (set_of t tag);
+    match !found with
+    | Some e ->
+        t.hits <- t.hits + 1;
+        t.clock <- t.clock + 1;
+        e.lru <- t.clock;
+        Some e.values.(fmod addr t.line_words)
+    | None ->
+        t.misses <- t.misses + 1;
+        None
+
+  let insert t addr value =
+    let tag = fdiv addr t.line_words in
+    let set = set_of t tag in
+    let found = ref None in
+    Array.iter (fun e -> if e.valid && e.tag = tag then found := Some e) set;
+    t.clock <- t.clock + 1;
+    match !found with
+    | Some e ->
+        e.values.(fmod addr t.line_words) <- value;
+        e.lru <- t.clock
+    | None ->
+        let victim = ref set.(0) in
+        Array.iter
+          (fun e ->
+            if not e.valid then victim := e
+            else if !victim.valid && e.lru < !victim.lru then victim := e)
+          set;
+        let v = !victim in
+        if v.valid then t.evictions <- t.evictions + 1;
+        v.tag <- tag;
+        Array.fill v.values 0 (Array.length v.values) 0;
+        v.values.(fmod addr t.line_words) <- value;
+        v.valid <- true;
+        v.lru <- t.clock
+
+  let invalidate t addr =
+    let tag = fdiv addr t.line_words in
+    Array.iter (fun e -> if e.valid && e.tag = tag then e.valid <- false)
+      (set_of t tag)
+
+  let clear t =
+    Array.iter (fun set -> Array.iter (fun e -> e.valid <- false) set) t.sets
+end
+
+type array_op = Insert of int * int | Lookup of int | Inval of int | Flush
+
+let gen_array_case =
+  QCheck.Gen.(
+    oneofl [ 1; 4 ] >>= fun line_words ->
+    oneofl [ 1; 2; 8 ] >>= fun assoc ->
+    int_range 1 4 >>= fun sets ->
+    let span = 2 * sets * assoc * line_words in
+    let addr = int_range (-span) span in
+    list_size (int_range 1 400)
+      (frequency
+         [
+           (6, map2 (fun a v -> Insert (a, v)) addr small_signed_int);
+           (6, map (fun a -> Lookup a) addr);
+           (1, map (fun a -> Inval a) addr);
+           (1, return Flush);
+         ])
+    >>= fun ops -> return ((line_words, sets * assoc * line_words, assoc), ops))
+
+let prop_array_matches_record_model =
+  QCheck.Test.make
+    ~name:"node array: same lookups and counts as the record model" ~count:500
+    (QCheck.make gen_array_case)
+    (fun ((line_words, size_words, assoc), ops) ->
+      let a = Node_array.create ~line_words ~size_words ~assoc ()
+      and r = Record_array.create ~line_words ~size_words ~assoc in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Insert (addr, v) ->
+              Node_array.insert a addr v;
+              Record_array.insert r addr v;
+              true
+          | Lookup addr -> lookup a addr = Record_array.lookup r addr
+          | Inval addr ->
+              Node_array.invalidate a addr;
+              Record_array.invalidate r addr;
+              true
+          | Flush ->
+              Node_array.clear a;
+              Record_array.clear r;
+              true)
+          && Node_array.hits a = r.Record_array.hits
+          && Node_array.misses a = r.Record_array.misses
+          && Node_array.evictions a = r.Record_array.evictions)
+        ops)
+
+let node_array_tests =
+  node_array_tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_array_matches_record_model;
+      tc "negative addresses are words like any other" (fun () ->
+          let a = Node_array.create ~line_words:4 ~size_words:32 ~assoc:2 () in
+          Node_array.insert a (-1) 5;
+          Node_array.insert a 1 6;
+          check Alcotest.(option int) "word -1" (Some 5) (lookup a (-1));
+          check Alcotest.(option int) "word 1" (Some 6) (lookup a 1);
+          check Alcotest.(option int) "word -4 shares -1's line" (Some 0)
+            (lookup a (-4)));
+      tc "insert and lookup allocate nothing" (fun () ->
+          let a = Node_array.create ~size_words:128 ~assoc:8 () in
+          let before = Gc.minor_words () in
+          for i = 0 to 9_999 do
+            let addr = (i * 37) land 511 in
+            Node_array.insert a addr i;
+            ignore (Node_array.lookup a (addr lxor 64))
+          done;
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "10k inserts and lookups allocated %.0f words" words)
+            true (words < 100.));
+    ]
+
+(* ---- wake-up contract -------------------------------------------------------- *)
+
+(* [Ring.next_event] promises that ticking before the cycle it returns is
+   a no-op.  Two copies of a ring take the same random store, signal and
+   load traffic: one ticks every cycle, the other only on cycles with a
+   core-side event and when its last promise comes due, as the event
+   engine runs it.  Their snapshots and signal counts must agree at every
+   event and once drained.  About one event in [n] cycles keeps a data
+   wire below saturation (a store makes [n - 1] hops), so busy spells
+   alternate with idle ones the promise must skip. *)
+type core_op = St of int * int * int | Sg of int * int | Ld of int * int
+
+let wake_contract ~n ?plan ?kill ~seed () =
+  let mk () = mk_ring ~n ~cfg_f:(fun c -> { c with Ring.faults = plan }) () in
+  let eager = mk () and lazy_ = mk () in
+  let st = Random.State.make [| seed; n |] in
+  let dead = Array.make n false in
+  let horizon = 150 * n in
+  let agree what c =
+    check Alcotest.string
+      (Fmt.str "%s at cycle %d: snapshot" what c)
+      (Helix_obs.Json.to_string (Ring.snapshot eager))
+      (Helix_obs.Json.to_string (Ring.snapshot lazy_));
+    for node = 0 to n - 1 do
+      for seg = 0 to 2 do
+        for origin = 0 to n - 1 do
+          let got r = Ring.signals_received r ~node ~seg ~origin in
+          if got eager <> got lazy_ then
+            Alcotest.failf "%s at cycle %d: node %d seg %d origin %d: %d <> %d"
+              what c node seg origin (got eager) (got lazy_)
+        done
+      done
+    done
+  in
+  let live_node () =
+    let rec pick () =
+      let node = Random.State.int st n in
+      if dead.(node) then pick () else node
+    in
+    pick ()
+  in
+  let random_op () =
+    let node = live_node () in
+    match Random.State.int st 20 with
+    | k when k < 10 -> St (node, 64 + Random.State.int st 96, Random.State.bits st)
+    | k when k < 17 -> Sg (node, Random.State.int st 3)
+    | _ -> Ld (node, 64 + Random.State.int st 160)
+  in
+  let apply c = function
+    | St (node, addr, value) ->
+        let ok r = Ring.try_store r ~node ~addr ~value ~cycle:c in
+        check Alcotest.bool "store accepted alike" (ok eager) (ok lazy_)
+    | Sg (node, seg) ->
+        let ok r = Ring.try_signal r ~node ~seg ~cycle:c in
+        check Alcotest.bool "signal accepted alike" (ok eager) (ok lazy_)
+    | Ld (node, addr) ->
+        let ld r = Ring.load r ~node ~addr ~cycle:c in
+        check Alcotest.(pair int int) "load alike" (ld eager) (ld lazy_)
+  in
+  let wake = ref 0 and lazy_ticks = ref 0 and c = ref 0 in
+  let probe now =
+    let w = Ring.next_event lazy_ ~now in
+    if w < now then Alcotest.failf "promise %d before now %d" w now;
+    wake := w
+  in
+  let tick cyc =
+    Ring.tick eager ~cycle:cyc;
+    if cyc >= !wake then begin
+      Ring.tick lazy_ ~cycle:cyc;
+      incr lazy_ticks;
+      probe (cyc + 1)
+    end;
+    c := cyc + 1
+  in
+  while (!c < horizon || not (Ring.drained eager)) && !c < horizon + 50_000 do
+    let cyc = !c in
+    if cyc < horizon && Random.State.int st n = 0 then begin
+      agree "event" cyc;
+      apply cyc (random_op ());
+      probe cyc
+    end;
+    (match kill with
+    | Some (node, at) when at = cyc ->
+        agree "kill" cyc;
+        dead.(node) <- true;
+        check Alcotest.(pair int int) "same losses"
+          (Ring.kill_node eager ~node ~cycle:cyc)
+          (Ring.kill_node lazy_ ~node ~cycle:cyc);
+        probe cyc
+    | _ -> ());
+    tick cyc
+  done;
+  (* past the last message, a lossy plan's timers and acks still wake
+     the ring *)
+  for cyc = !c to !c + 1_999 do
+    tick cyc
+  done;
+  Alcotest.(check bool) "drained" true (Ring.drained eager);
+  agree "drain" !c;
+  Alcotest.(check bool)
+    (Fmt.str "the lazy copy ticked on %d of %d cycles" !lazy_ticks !c)
+    true (10 * !lazy_ticks < 9 * !c)
+
+let wake_tests =
+  tc "a stalled node holding traffic wakes at its stall release" (fun () ->
+      (* node 1 owns address 8; the store from node 0 reaches node 1's
+         input buffer at cycle 3, while node 1 serves node 2's miss *)
+      let r = mk_ring ~n:4 () in
+      ignore (Ring.try_store r ~node:0 ~addr:64 ~value:1 ~cycle:0);
+      tick_n r ~from:0 2;
+      ignore (Ring.load r ~node:2 ~addr:8 ~cycle:2);
+      tick_n r ~from:2 2;
+      check Alcotest.int "wakes when the stall ends" 5
+        (Ring.next_event r ~now:4))
+  :: List.concat_map
+    (fun n ->
+      [
+        tc (Fmt.str "%d nodes, no plan" n) (fun () ->
+            wake_contract ~n ~seed:1 ());
+        tc (Fmt.str "%d nodes, delay=2" n) (fun () ->
+            wake_contract ~n ~plan:(Ring.faulty ~delay:2 ~seed:42 ()) ~seed:2 ());
+        tc (Fmt.str "%d nodes, lossy plan" n) (fun () ->
+            wake_contract ~n
+              ~plan:
+                (Ring.faulty ~delay:1 ~drop:20 ~dup:10 ~reorder:10 ~corrupt:10
+                   ~seed:7 ())
+              ~seed:3 ());
+        tc (Fmt.str "%d nodes, kill_node mid-run" n) (fun () ->
+            wake_contract ~n ~kill:(n / 3, 75 * n) ~seed:4 ());
+      ])
+    [ 16; 70 ]
+
+(* A 16-node ring taking a store every 4 cycles, ticked and probed every
+   cycle as the event engine does: the hops a store makes round the ring
+   must not allocate (the store itself, its message and its sharing
+   record, does). *)
+let alloc_tests =
+  [
+    tc "a forwarded hop allocates under 2 words" (fun () ->
+        let r = mk_ring ~n:16 () in
+        let run from upto =
+          for c = from to upto - 1 do
+            if c land 3 = 0 then
+              ignore
+                (Ring.try_store r ~node:((c lsr 2) land 15)
+                   ~addr:(64 + ((c lsr 2) land 63))
+                   ~value:c ~cycle:c);
+            Ring.tick r ~cycle:c;
+            ignore (Ring.next_event r ~now:(c + 1))
+          done
+        in
+        let forwarded () =
+          let m = Helix_obs.Metrics.create () in
+          Ring.export_metrics r m;
+          Option.get (Helix_obs.Metrics.find_int m "ring.forwarded")
+        in
+        run 0 4_000;
+        let hops0 = forwarded () in
+        let before = Gc.minor_words () in
+        run 4_000 44_000;
+        let words = Gc.minor_words () -. before in
+        let hops = forwarded () - hops0 in
+        let per_hop = words /. float_of_int hops in
+        Alcotest.(check bool)
+          (Fmt.str "%d hops allocated %.0f words (%.2f per hop)" hops words
+             per_hop)
+          true
+          (hops > 100_000 && per_hop < 2.0));
+  ]
+
 let () =
   Alcotest.run "ring"
     [
@@ -895,4 +1356,8 @@ let () =
       ("fault-injection", jitter_tests);
       ("fault-protocol", fault_tests);
       ("properties", props);
+      ("fifo", fifo_tests);
+      ("bitset", bitset_tests);
+      ("wake-up", wake_tests);
+      ("allocation", alloc_tests);
     ]

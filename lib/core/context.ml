@@ -80,7 +80,7 @@ let token code depth r =
   if r < 0 || r > max_reg || r >= code.c_stride then
     invalid_arg
       (Printf.sprintf "Context.token: register r%d outside [0, %d)" r
-         (min (max_reg + 1) code.c_stride));
+         (Int.min (max_reg + 1) code.c_stride));
   ((depth land 3) * code.c_stride) + r
 
 let stride code = code.c_stride
@@ -89,7 +89,7 @@ let code ?(trigger = fun _ _ -> false) prog =
   {
     c_prog = prog;
     c_stride =
-      Hashtbl.fold (fun _ f acc -> max acc f.Ir.f_next_reg) prog.Ir.p_funcs 1;
+      Hashtbl.fold (fun _ f acc -> Int.max acc f.Ir.f_next_reg) prog.Ir.p_funcs 1;
     c_trigger = trigger;
     c_funcs = Hashtbl.create 16;
   }
@@ -171,7 +171,7 @@ let func code name =
   | Some df -> df
   | None ->
       let f = Ir.find_func code.c_prog name in
-      let n = Hashtbl.fold (fun l _ acc -> max acc (l + 1)) f.Ir.f_blocks 0 in
+      let n = Hashtbl.fold (fun l _ acc -> Int.max acc (l + 1)) f.Ir.f_blocks 0 in
       let blocks = Array.make n None in
       Hashtbl.iter
         (fun l b -> if l >= 0 then blocks.(l) <- Some (decode_block code f l b))
@@ -207,6 +207,9 @@ type t = {
   serial : bool;                 (* suspends at the code's trigger blocks *)
   mutable frames : frame list;   (* innermost first *)
   mutable depth : int;           (* [List.length frames] *)
+  mutable last_start : frame list;
+      (* the one-frame stack the last [start] built, kept so the next
+         start of the same function reuses its registers *)
   mutable status : status;
   mutable wait_depth : int;
   mutable seg_stack : int list;  (* open segments, innermost first *)
@@ -226,6 +229,7 @@ let create ?(serial = false) code mem ~core_id =
     serial;
     frames = [];
     depth = 0;
+    last_start = [];
     status = Finished None;
     wait_depth = 0;
     seg_stack = [];
@@ -235,14 +239,25 @@ let create ?(serial = false) code mem ~core_id =
 
 let[@inline] value regs = function Ir.Imm i -> i | Ir.Reg r -> regs.(r)
 
+let goto fr l =
+  fr.block <- l;
+  fr.cur <- block_at fr.fn l;
+  fr.index <- 0
+
+(* Bind [args.(i..)] to the parameters [ps] in order; parameters beyond
+   the arguments keep their value (zero in a fresh frame). *)
+let rec bind_params regs (args : int array) i = function
+  | p :: ps when i < Array.length args ->
+      regs.(p) <- args.(i);
+      bind_params regs args (i + 1) ps
+  | _ -> ()
+
 (* A frame entering [df] with [args] bound to its parameters in order;
    parameters beyond the arguments start at zero. *)
 let new_frame df dst_in_caller (args : int array) =
   let f = df.d_func in
-  let regs = Array.make (max 1 f.Ir.f_next_reg) 0 in
-  List.iteri
-    (fun i p -> if i < Array.length args then regs.(p) <- args.(i))
-    f.Ir.f_params;
+  let regs = Array.make (Int.max 1 f.Ir.f_next_reg) 0 in
+  bind_params regs args 0 f.Ir.f_params;
   {
     fn = df;
     regs;
@@ -253,13 +268,33 @@ let new_frame df dst_in_caller (args : int array) =
     dst_in_caller;
   }
 
-(* Start executing [fname args]; any previous call is discarded. *)
-let start t fname args =
-  t.frames <- [ new_frame (func t.code fname) None (Array.of_list args) ];
+type body = dfunc
+
+let body = func
+
+(* Start executing [df args]; any previous call is discarded.  Once the
+   previous start of the same function has returned, its frame is reset
+   to exactly what [new_frame] would build (registers zeroed, parameters
+   bound, entry block) and reused, so a worker's per-iteration start
+   allocates nothing. *)
+let start_body t df args =
+  (match (t.frames, t.last_start) with
+  | [], ([ fr ] as stack) when fr.fn == df ->
+      Array.fill fr.regs 0 (Array.length fr.regs) 0;
+      bind_params fr.regs args 0 df.d_func.Ir.f_params;
+      goto fr df.d_func.Ir.f_entry;
+      fr.entered <- false;
+      t.frames <- stack
+  | _ ->
+      let stack = [ new_frame df None args ] in
+      t.last_start <- stack;
+      t.frames <- stack);
   t.depth <- 1;
   t.status <- Running;
   t.wait_depth <- 0;
   t.seg_stack <- []
+
+let start t fname args = start_body t (func t.code fname) (Array.of_list args)
 
 let set_mem_hook t hook = t.on_mem <- hook
 
@@ -288,11 +323,6 @@ let set_reg t r v = (current_frame t).regs.(r) <- v
 
 let operand_value t (o : Ir.operand) = value (current_frame t).regs o
 
-let goto fr l =
-  fr.block <- l;
-  fr.cur <- block_at fr.fn l;
-  fr.index <- 0
-
 (* Force the current frame to resume at [block] (used when the executor
    finishes a parallel loop and the serial core continues at its exit). *)
 let jump_to t block =
@@ -309,8 +339,8 @@ let arg regs args i = if i < Array.length args then value regs args.(i) else 0
 let lib_eval t regs lc args =
   match lc with
   | Ir.Lc_abs -> abs (arg regs args 0)
-  | Ir.Lc_min -> min (arg regs args 0) (arg regs args 1)
-  | Ir.Lc_max -> max (arg regs args 0) (arg regs args 1)
+  | Ir.Lc_min -> Int.min (arg regs args 0) (arg regs args 1)
+  | Ir.Lc_max -> Int.max (arg regs args 0) (arg regs args 1)
   | Ir.Lc_hash -> Interp.mix_hash (arg regs args 0)
   | Ir.Lc_log2 -> Interp.ilog2 (arg regs args 0)
   | Ir.Lc_isqrt -> Interp.isqrt (arg regs args 0)
@@ -320,7 +350,7 @@ let lib_eval t regs lc args =
       (t.rand_seed lsr 16) land 0x3fffffff
   | Ir.Lc_strcmp ->
       let a = arg regs args 0 and b = arg regs args 1
-      and len = min (arg regs args 2) 64 in
+      and len = Int.min (arg regs args 2) 64 in
       let rec go i =
         if i >= len then 0
         else
@@ -331,7 +361,7 @@ let lib_eval t regs lc args =
       go 0
   | Ir.Lc_memchr ->
       let base = arg regs args 0 and needle = arg regs args 1
-      and len = min (arg regs args 2) 256 in
+      and len = Int.min (arg regs args 2) 256 in
       let rec go i =
         if i >= len then -1
         else if Memory.load t.mem (base + i) = needle then i
@@ -408,7 +438,7 @@ let exec_instr t fr d k =
       t.seg_stack <- seg :: t.seg_stack;
       Some (uop (Uop.Shared (Uop.S_wait seg)) [] None)
   | Ir.Signal seg ->
-      t.wait_depth <- max 0 (t.wait_depth - 1);
+      t.wait_depth <- Int.max 0 (t.wait_depth - 1);
       (* close the matching segment; tolerate unbalanced (mis-compiled)
          code by popping the head instead *)
       (t.seg_stack <-

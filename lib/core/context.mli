@@ -54,6 +54,16 @@ val create : ?serial:bool -> code -> Memory.t -> core_id:int -> t
 val start : t -> string -> int list -> unit
 (** Begin executing [fname args]; discards any previous call. *)
 
+type body
+(** A function of the code, resolved once for repeated starts. *)
+
+val body : code -> string -> body
+
+val start_body : t -> body -> int array -> unit
+(** [start] with the function already resolved and the arguments in an
+    array (read, not kept).  When the previous start of the same body has
+    returned, its frame is reset and reused instead of allocated. *)
+
 val status : t -> status
 val wait_depth : t -> int
 

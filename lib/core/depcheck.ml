@@ -27,6 +27,8 @@
    by only one core or never written are filtered by the masks for
    free. *)
 
+module Ih = Hashtbl.Make (Int)
+
 type violation = {
   v_addr : int;
   v_seg1 : int option;          (* segment of the earlier (stored) access *)
@@ -50,7 +52,7 @@ type entry = {
 }
 
 type t = {
-  table : (int, entry list ref) Hashtbl.t; (* addr -> per-key entries *)
+  table : entry list ref Ih.t; (* addr -> per-key entries *)
   mutable violations : int;
   mutable samples : violation list;        (* newest first, capped *)
 }
@@ -58,10 +60,10 @@ type t = {
 let max_samples = 8
 let no_seg = -1
 
-let create () = { table = Hashtbl.create 1024; violations = 0; samples = [] }
+let create () = { table = Ih.create 1024; violations = 0; samples = [] }
 
 let reset t =
-  Hashtbl.reset t.table;
+  Ih.reset t.table;
   t.violations <- 0;
   t.samples <- []
 
@@ -73,13 +75,13 @@ let record t ~core ~iter ~seg ~addr ~write =
   (* clamp the shift for 63-bit ints; cores >= 62 share the top bit,
      which can only under-report cross-core conflicts on machines far
      larger than anything simulated here *)
-  let bit = 1 lsl (min core 62) in
+  let bit = 1 lsl (Int.min core 62) in
   let entries =
-    match Hashtbl.find_opt t.table addr with
+    match Ih.find_opt t.table addr with
     | Some r -> r
     | None ->
         let r = ref [] in
-        Hashtbl.add t.table addr r;
+        Ih.add t.table addr r;
         r
   in
   (* conflict with any entry not covered by a common segment *)

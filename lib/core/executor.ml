@@ -6,6 +6,7 @@ module Engine = Helix_engine.Engine
 module Trace = Helix_obs.Trace
 module Metrics = Helix_obs.Metrics
 module Json = Helix_obs.Json
+module Ih = Hashtbl.Make (Int)
 
 (* The HELIX-RC executor: a cycle-stepped simulation of a multicore
    running a compiled program.
@@ -174,6 +175,9 @@ type par_state = {
   ps_pl : Parallel_loop.t;
   ps_trip : int option; (* None: conditional, gated starts *)
   ps_params : int list;
+  ps_body : Context.body;  (* [pl_body_fn], resolved once *)
+  ps_args : int array;
+      (* [iter :: ps_params]; slot 0 is rewritten before each start *)
   ps_iv_entry : (Parallel_loop.iv_info * int * int * int) list;
       (* (info, r0, s0, step_value) *)
   ps_red_entry : (Parallel_loop.reduction * int) list;
@@ -227,7 +231,7 @@ type t = {
   (* conventional signalling: (seg, origin) -> store cycles, in order *)
   conv_log : Signal_log.t;
   (* addresses of demoted-register cells, for routing *)
-  reg_cells : (int, unit) Hashtbl.t;
+  reg_cells : unit Ih.t;
   (* robustness state *)
   depcheck : Depcheck.t;
   mutable mk_core : int -> Core.t;   (* for rebuilding cores on fallback *)
@@ -266,7 +270,7 @@ let iter_of_local ~n ~owned ~core ~local_iter =
   let m = List.length lanes in
   (n * (local_iter / m)) + List.nth lanes (local_iter mod m)
 
-let rec lanes_below r acc = function
+let rec lanes_below (r : int) acc = function
   | [] -> acc
   | l :: tl -> lanes_below r (if l < r then acc + 1 else acc) tl
 
@@ -386,7 +390,7 @@ let route_via_ring t addr =
   | None -> false
   | Some _ ->
       let c = t.cfg.comm in
-      if c.reg_via_ring <> c.mem_via_ring && Hashtbl.mem t.reg_cells addr then
+      if c.reg_via_ring <> c.mem_via_ring && Ih.mem t.reg_cells addr then
         c.reg_via_ring
       else c.mem_via_ring
 
@@ -426,7 +430,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
   (* the uop's stamped iteration, NOT the worker's current counter: an
      out-of-order window may still hold a previous iteration's wait after
      the eager context has started the next assigned iteration *)
-  let local_iter = max 0 tag in
+  let local_iter = Int.max 0 tag in
   match op with
   | Uop.S_wait seg ->
       let satisfied =
@@ -455,7 +459,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         | Some ring ->
             if Ring.try_signal ring ~node:core ~seg ~cycle then begin
               t.max_outstanding <-
-                max t.max_outstanding (Ring.max_outstanding_signals ring);
+                Int.max t.max_outstanding (Ring.max_outstanding_signals ring);
               Uop.Sh_done { latency = 1; value = 0 }
             end
             else Uop.Sh_retry
@@ -482,7 +486,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
             addr
         in
         Uop.Sh_done
-          { latency = max latency (2 * c2c); value = Memory.load t.mem addr }
+          { latency = Int.max latency (2 * c2c); value = Memory.load t.mem addr }
       end
   | Uop.S_store (addr, v) ->
       if route_via_ring t addr then begin
@@ -499,7 +503,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         in
         Memory.store t.mem addr v;
         (* ownership acquisition: invalidation round trip *)
-        Uop.Sh_done { latency = max latency (2 * c2c); value = 0 }
+        Uop.Sh_done { latency = Int.max latency (2 * c2c); value = 0 }
       end
   | Uop.S_flush -> Uop.Sh_done { latency = 1; value = 0 }
 
@@ -527,7 +531,7 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
   | Context.Running | Context.Blocked -> (
       match Context.next_uop w.w_ctx with
       | Some u as next ->
-          u.Uop.meta <- max 0 (w.w_local_iter - 1);
+          u.Uop.meta <- Int.max 0 (w.w_local_iter - 1);
           next
       | None -> None)
   | Context.Suspended _ -> None
@@ -547,8 +551,8 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
             ~local_iter:w.w_local_iter;
         ps.ps_started <- ps.ps_started + 1;
         w.w_running_iter <- true;
-        Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
-          (iter :: ps.ps_params);
+        ps.ps_args.(0) <- iter;
+        Context.start_body w.w_ctx ps.ps_body ps.ps_args;
         worker_next_uop t ps w
       end
       else None
@@ -603,7 +607,7 @@ let spawn_workers t =
           (Some
              (fun ~seg ~addr ~write ->
                Depcheck.record t.depcheck ~core:c
-                 ~iter:(max 0 (w.w_local_iter - 1))
+                 ~iter:(Int.max 0 (w.w_local_iter - 1))
                  ~seg ~addr ~write));
       t.workers.(c) <- Some w
     end
@@ -686,6 +690,8 @@ let begin_parallel t (pl : Parallel_loop.t) =
         ps_pl = pl;
         ps_trip = trip;
         ps_params = params;
+        ps_body = Context.body t.code pl.Parallel_loop.pl_body_fn;
+        ps_args = Array.of_list (0 :: params);
         ps_iv_entry = iv_entry;
         ps_red_entry = red_entry;
         ps_lv_entry = lv_entry;
@@ -938,7 +944,7 @@ let check_oracle t (ps : par_state) =
             Trace.fallback t.cfg.trace ~cycle ~loop ~reason:"oracle"
               ~iterations:rp.Oracle.rp_executed;
             t.serial_stall_until <-
-              max t.serial_stall_until (cycle + 2 + rp.Oracle.rp_dyn_instrs)
+              Int.max t.serial_stall_until (cycle + 2 + rp.Oracle.rp_dyn_instrs)
           end)
 
 let end_parallel t (ps : par_state) =
@@ -993,13 +999,13 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
           })
       cfg.ring_cfg
   in
-  let reg_cells = Hashtbl.create 64 in
+  let reg_cells = Ih.create 64 in
   (match compiled with
   | Some c ->
       List.iter
         (fun (s : Select.candidate) ->
           List.iter
-            (fun sr -> Hashtbl.replace reg_cells sr.Parallel_loop.sr_addr ())
+            (fun sr -> Ih.replace reg_cells sr.Parallel_loop.sr_addr ())
             s.Select.cd_loop.Parallel_loop.pl_shared_regs)
         c.Hcc.cp_candidates
   | None -> ());
@@ -1182,7 +1188,7 @@ let stuck_report t ~reason =
               Buffer.add_string b
                 (Printf.sprintf "    core-model: %s\n"
                    (Core.describe t.cores.(c)));
-              let k = max 0 (w.w_local_iter - 1) in
+              let k = Int.max 0 (w.w_local_iter - 1) in
               List.iter
                 (fun seg ->
                   let targets =
@@ -1322,7 +1328,7 @@ let process_fail_stop t ~node ~cycle =
    parallel, 2 entry cycle, 3 started, 4 finished, 5 contig, 6 stopped.
    Slots 2-6 are compared only in the parallel phase: entering or
    leaving it flips slot 1, which registers the change by itself. *)
-let sig_set s i v changed =
+let sig_set (s : int array) i v changed =
   if Array.unsafe_get s i = v then changed
   else begin
     s.(i) <- v;
@@ -1423,7 +1429,7 @@ let sched_next_event t ~now =
     (* a scheduled fail-stop is a hard wake-up: the engines must not
        fast-forward across the death cycle *)
     (match t.pending_death with
-    | Some (_, at) -> add (max now at)
+    | Some (_, at) -> add (Int.max now at)
     | None -> ());
     (* conventional-mode signal visibility boundaries *)
     let rec conv () =
@@ -1439,10 +1445,10 @@ let sched_next_event t ~now =
        tracks the clock up to serial_stall_until - 1 *)
     let lp =
       if t.serial_stall_until > now then
-        max t.last_progress (t.serial_stall_until - 1)
+        Int.max t.last_progress (t.serial_stall_until - 1)
       else t.last_progress
     in
-    add (max now (lp + t.cfg.watchdog_cycles + 1));
+    add (Int.max now (lp + t.cfg.watchdog_cycles + 1));
     !w
   end
 
@@ -1454,7 +1460,7 @@ let sched_skip t ~now ~cycles =
   | Serial -> t.serial_cycles <- t.serial_cycles + cycles
   | Parallel _ -> t.parallel_cycles <- t.parallel_cycles + cycles);
   if t.serial_stall_until > now then
-    t.last_progress <- min (now + cycles - 1) (t.serial_stall_until - 1)
+    t.last_progress <- Int.min (now + cycles - 1) (t.serial_stall_until - 1)
 
 let components t =
   let noop_skip ~now:_ ~cycles:_ = () in
@@ -1474,7 +1480,7 @@ let components t =
                           t.cfg.fuel) ))
           end);
       (* the fuel check must run at cycle fuel+1: cap every skip there *)
-      cp_next_event = (fun ~now -> max now (t.cfg.fuel + 1));
+      cp_next_event = (fun ~now -> Int.max now (t.cfg.fuel + 1));
       cp_skip = noop_skip;
     }
   in
@@ -1564,7 +1570,7 @@ let run ?compiled (cfg : config) (prog : Ir.program) (mem : Memory.t) : result
        with a tick round *)
     Metrics.set_float m "engine.skip_ratio"
       (float_of_int (Engine.skipped_cycles eng)
-      /. float_of_int (max 1 !(t.now)));
+      /. float_of_int (Int.max 1 !(t.now)));
     m
   in
   {

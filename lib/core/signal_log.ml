@@ -27,11 +27,11 @@ let record t ~seg ~origin ~cycle =
   let n = Array.length t.pairs in
   if i >= n then
     t.pairs <-
-      Array.init (max (i + 1) (2 * n)) (fun j ->
+      Array.init (Int.max (i + 1) (2 * n)) (fun j ->
           if j < n then t.pairs.(j) else { times = [||]; count = 0 });
   let p = t.pairs.(i) in
   if p.count = Array.length p.times then begin
-    let times = Array.make (max 16 (2 * p.count)) 0 in
+    let times = Array.make (Int.max 16 (2 * p.count)) 0 in
     Array.blit p.times 0 times 0 p.count;
     p.times <- times
   end;

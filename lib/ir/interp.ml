@@ -62,8 +62,8 @@ let eval_binop op a b =
   | Ir.Le -> if a <= b then 1 else 0
   | Ir.Gt -> if a > b then 1 else 0
   | Ir.Ge -> if a >= b then 1 else 0
-  | Ir.Min -> min a b
-  | Ir.Max -> max a b
+  | Ir.Min -> Int.min a b
+  | Ir.Max -> Int.max a b
 
 let eval_unop op a = match op with Ir.Neg -> -a | Ir.Not -> lnot a
 
@@ -103,15 +103,15 @@ let eval_libcall st ~fname ~pos lc (args : int list) =
   in
   match lc with
   | Ir.Lc_abs -> abs (arg 0)
-  | Ir.Lc_min -> min (arg 0) (arg 1)
-  | Ir.Lc_max -> max (arg 0) (arg 1)
+  | Ir.Lc_min -> Int.min (arg 0) (arg 1)
+  | Ir.Lc_max -> Int.max (arg 0) (arg 1)
   | Ir.Lc_hash -> mix_hash (arg 0)
   | Ir.Lc_log2 -> ilog2 (arg 0)
   | Ir.Lc_isqrt -> isqrt (arg 0)
   | Ir.Lc_rand -> lib_rand st
   | Ir.Lc_strcmp ->
       (* strcmp (a, b, len): bounded word-wise comparison *)
-      let a = arg 0 and b = arg 1 and len = min (arg 2) 64 in
+      let a = arg 0 and b = arg 1 and len = Int.min (arg 2) 64 in
       let rec go i =
         if i >= len then 0
         else
@@ -124,7 +124,7 @@ let eval_libcall st ~fname ~pos lc (args : int list) =
       go 0
   | Ir.Lc_memchr ->
       (* memchr (base, needle, len): first index holding needle, or -1 *)
-      let base = arg 0 and needle = arg 1 and len = min (arg 2) 256 in
+      let base = arg 0 and needle = arg 1 and len = Int.min (arg 2) 256 in
       let rec go i =
         if i >= len then -1
         else
@@ -136,7 +136,7 @@ let eval_libcall st ~fname ~pos lc (args : int list) =
 
 (* Execute one function call frame; returns the optional return value. *)
 let rec exec_func st (f : Ir.func) (args : int list) : int option =
-  let regs = Array.make (max 1 f.Ir.f_next_reg) 0 in
+  let regs = Array.make (Int.max 1 f.Ir.f_next_reg) 0 in
   (try
      List.iter2 (fun p a -> regs.(p) <- a) f.Ir.f_params args
    with Invalid_argument _ ->

@@ -23,7 +23,7 @@ let no_page : int array = [||]
 type t = {
   mutable dir : int array array;  (* page index -> page, or [no_page] *)
   overflow : int Ih.t;            (* words outside [0, paged_limit) *)
-  mutable journal : (int, int) Hashtbl.t option;
+  mutable journal : int Ih.t option;
       (* undo journal: every address stored since it opened, mapped to
          its value at that moment *)
 }
@@ -42,7 +42,7 @@ let load m a =
   else match Ih.find_opt m.overflow a with Some v -> v | None -> 0
 
 let grow_dir m p =
-  let n = ref (max 16 (Array.length m.dir)) in
+  let n = ref (Int.max 16 (Array.length m.dir)) in
   while !n <= p do
     n := 2 * !n
   done;
@@ -70,7 +70,7 @@ let set m a v =
 let store m a v =
   (match m.journal with
   | None -> ()
-  | Some j -> if not (Hashtbl.mem j a) then Hashtbl.add j a (load m a));
+  | Some j -> if not (Ih.mem j a) then Ih.add j a (load m a));
   set m a v
 
 let copy m =
@@ -83,18 +83,18 @@ let copy m =
 (* The executor's checked paths open a journal at parallel-loop entry
    instead of copying the image, so rolling an invocation back or
    comparing it against its shadow costs O(words it wrote). *)
-let open_journal m = m.journal <- Some (Hashtbl.create 64)
+let open_journal m = m.journal <- Some (Ih.create 64)
 let close_journal m = m.journal <- None
 
 let rollback m =
   match m.journal with
   | None -> invalid_arg "Memory.rollback: no open journal"
   | Some j ->
-      Hashtbl.iter (set m) j;
-      Hashtbl.reset j
+      Ih.iter (set m) j;
+      Ih.reset j
 
 let iter_journal m f =
-  match m.journal with None -> () | Some j -> Hashtbl.iter f j
+  match m.journal with None -> () | Some j -> Ih.iter f j
 
 (* Every non-zero word, in no particular order. *)
 let iter_nonzero m f =
@@ -147,7 +147,7 @@ module Layout = struct
     let site = t.next_site in
     t.next_site <- site + 1;
     let base = t.next_base in
-    let padded = ((max 1 size + 63) / 64) * 64 in
+    let padded = ((Int.max 1 size + 63) / 64) * 64 in
     t.next_base <- base + padded;
     let r = { name; site; base; size } in
     t.regions <- r :: t.regions;

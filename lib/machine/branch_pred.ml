@@ -20,7 +20,7 @@ let predict_update t ~static_id ~taken =
   t.lookups <- t.lookups + 1;
   let mis = predicted_taken <> taken in
   if mis then t.mispredicts <- t.mispredicts + 1;
-  t.table.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.table.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   mis
 
 let mispredict_rate t =

@@ -28,7 +28,7 @@ let valid = 1
 let dirty = 2
 
 let create (cfg : Mach_config.cache_config) =
-  let n_sets = max 1 (cfg.size_words / (cfg.assoc * cfg.line_words)) in
+  let n_sets = Int.max 1 (cfg.size_words / (cfg.assoc * cfg.line_words)) in
   let ways = n_sets * cfg.assoc in
   {
     cfg;

@@ -70,7 +70,7 @@ let set_dst t (u : Uop.t) c =
   match u.Uop.dst with
   | Some d ->
       if d >= Array.length t.reg_ready then begin
-        let a = Array.make (max (d + 1) (2 * Array.length t.reg_ready)) 0 in
+        let a = Array.make (Int.max (d + 1) (2 * Array.length t.reg_ready)) 0 in
         Array.blit t.reg_ready 0 a 0 (Array.length t.reg_ready);
         t.reg_ready <- a
       end;
@@ -80,7 +80,7 @@ let set_dst t (u : Uop.t) c =
 let rec src_ready_cycle t acc srcs =
   match srcs with
   | [] -> acc
-  | r :: rest -> src_ready_cycle t (max acc (ready t r)) rest
+  | r :: rest -> src_ready_cycle t (Int.max acc (ready t r)) rest
 
 (* memory-unit occupancy: loads and stores contend for the port;
    wait/signal issue from the store queue for ordering but ride their own
@@ -143,7 +143,7 @@ let try_issue t (u : Uop.t) cycle =
                 (* shared stores hold the port for their full latency:
                    ring injection is ~1 cycle, conventional ownership
                    acquisition is a round trip *)
-                t.mem_busy_until <- cycle + max 1 latency;
+                t.mem_busy_until <- cycle + Int.max 1 latency;
                 t.stats.Stats.shared_stores <- t.stats.Stats.shared_stores + 1
             | Uop.S_wait _ | Uop.S_signal _ ->
                 t.stats.Stats.retired_sync <- t.stats.Stats.retired_sync + 1
@@ -231,7 +231,7 @@ let stall_bucket t (u : Uop.t) cycle =
     | _ -> Stats.Pipeline
 
 (* [c] if it is a candidate wake-up cycle earlier than [w], else [w]. *)
-let[@inline] earliest ~now c w = if c >= now && c < w then c else w
+let[@inline] earliest ~now (c : int) w = if c >= now && c < w then c else w
 
 (* Earliest future cycle at which this core could change state on its
    own; [now] = active (do not skip); [Engine.never] (= [max_int]) =

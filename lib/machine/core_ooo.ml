@@ -67,7 +67,7 @@ let create ?retired_sink cfg supply =
     predictor = Branch_pred.create ();
     reg_ready = Array.make 64 0;
     reg_writer = Array.make 64 no_entry;
-    window = Array.make (max 1 cfg.Mach_config.window) no_entry;
+    window = Array.make (Int.max 1 cfg.Mach_config.window) no_entry;
     head = 0;
     window_size = 0;
     next_seq = 0;
@@ -107,7 +107,7 @@ let writer t r =
 let set_writer t d e =
   let n = Array.length t.reg_writer in
   if d >= n then begin
-    let n' = max (d + 1) (2 * n) in
+    let n' = Int.max (d + 1) (2 * n) in
     let rr = Array.make n' 0 and rw = Array.make n' no_entry in
     Array.blit t.reg_ready 0 rr 0 n;
     Array.blit t.reg_writer 0 rw 0 n;
@@ -241,7 +241,7 @@ let try_issue t e cycle =
                 t.stats.Stats.shared_stores <- t.stats.Stats.shared_stores + 1
             | _ -> ());
             e.issued <- true;
-            e.completion <- cycle + max 1 latency;
+            e.completion <- cycle + Int.max 1 latency;
             true
         | Uop.Sh_retry -> false
     end

@@ -22,8 +22,8 @@ type t = {
 let create ~latency ~banks =
   {
     cfg_latency = latency;
-    row_hit_latency = max 1 (latency / 3);
-    banks = Array.init (max 1 banks) (fun _ -> { busy_until = 0; open_row = -1 });
+    row_hit_latency = Int.max 1 (latency / 3);
+    banks = Array.init (Int.max 1 banks) (fun _ -> { busy_until = 0; open_row = -1 });
     row_words = 1024; (* 8KB rows of 8-byte words *)
     requests = 0;
     row_hits = 0;
@@ -42,7 +42,7 @@ let access t ~cycle addr =
     end
     else t.cfg_latency
   in
-  let start = max cycle bank.busy_until in
+  let start = Int.max cycle bank.busy_until in
   let finish = start + service in
   bank.busy_until <- finish;
   bank.open_row <- row;

@@ -8,6 +8,8 @@
    conventional machine (Section 6.1), including the guarantee that a
    particular L1 preserves the order of stores to a location. *)
 
+module Ih = Hashtbl.Make (Int)
+
 type line_state = {
   mutable owner : int;    (* last writer core, -1 if clean/shared *)
   mutable sharers : int;  (* bitmask of cores with a copy *)
@@ -18,7 +20,7 @@ type t = {
   l1s : Cache.t array;
   l2 : Cache.t;
   dram : Dram.t;
-  directory : (int, line_state) Hashtbl.t; (* line addr -> state *)
+  directory : line_state Ih.t;             (* line addr -> state *)
   l2_banks : int array;                    (* busy-until per bank *)
   mutable c2c_transfers : int;
   mutable l2_accesses : int;
@@ -33,8 +35,8 @@ let create (mcfg : Mach_config.t) =
     dram =
       Dram.create ~latency:mcfg.Mach_config.mem.Mach_config.dram_latency
         ~banks:mcfg.Mach_config.mem.Mach_config.dram_banks;
-    directory = Hashtbl.create 4096;
-    l2_banks = Array.make (max 1 mcfg.Mach_config.mem.Mach_config.l2_banks) 0;
+    directory = Ih.create 4096;
+    l2_banks = Array.make (Int.max 1 mcfg.Mach_config.mem.Mach_config.l2_banks) 0;
     c2c_transfers = 0;
     l2_accesses = 0;
   }
@@ -42,11 +44,11 @@ let create (mcfg : Mach_config.t) =
 let line_words t = t.cfg.Mach_config.l1.Mach_config.line_words
 
 let dir_state t laddr =
-  match Hashtbl.find_opt t.directory laddr with
+  match Ih.find_opt t.directory laddr with
   | Some s -> s
   | None ->
       let s = { owner = -1; sharers = 0 } in
-      Hashtbl.replace t.directory laddr s;
+      Ih.replace t.directory laddr s;
       s
 
 (* Charge an L2 access at [cycle], including bank contention; returns
@@ -55,7 +57,7 @@ let l2_access t ~cycle ~write addr =
   t.l2_accesses <- t.l2_accesses + 1;
   let laddr = addr / line_words t in
   let bank_i = laddr mod Array.length t.l2_banks in
-  let start = max cycle t.l2_banks.(bank_i) in
+  let start = Int.max cycle t.l2_banks.(bank_i) in
   let queue = start - cycle in
   t.l2_banks.(bank_i) <- start + 2; (* bank occupied 2 cycles per access *)
   match Cache.access t.l2 ~write addr with

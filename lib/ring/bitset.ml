@@ -5,7 +5,7 @@
 
 type t = int array
 
-let create n = Array.make ((max n 1 + 31) lsr 5) 0
+let create n = Array.make ((Int.max n 1 + 31) lsr 5) 0
 let add s i = s.(i lsr 5) <- s.(i lsr 5) lor (1 lsl (i land 31))
 let remove s i = s.(i lsr 5) <- s.(i lsr 5) land lnot (1 lsl (i land 31))
 let clear s = Array.fill s 0 (Array.length s) 0

@@ -21,8 +21,8 @@ type fault_plan = {
 
 let faulty ?(delay = 0) ?(drop = 0) ?(dup = 0) ?(reorder = 0) ?(corrupt = 0)
     ?fail_stop ~seed () =
-  let clamp r = max 0 (min 1000 r) in
-  { fl_seed = seed; fl_delay = max 0 delay; fl_drop = clamp drop;
+  let clamp r = Int.max 0 (Int.min 1000 r) in
+  { fl_seed = seed; fl_delay = Int.max 0 delay; fl_drop = clamp drop;
     fl_dup = clamp dup; fl_reorder = clamp reorder;
     fl_corrupt = clamp corrupt; fl_fail_stop = fail_stop }
 
@@ -226,7 +226,7 @@ let create ?trace ~latency ~capacity ~inbox_data ~inbox_sig ~receivers plan =
   in
   let plan = Option.value plan ~default:(faulty ~seed:0 ()) in
   { n; latency; capacity; plan; lossy = lossy plan;
-    ack_latency = max 1 ((n - 1) * latency);
+    ack_latency = Int.max 1 ((n - 1) * latency);
     rtx_base = (4 * n * latency) + 16; trace;
     dch = channel true inbox_data; sch = channel false inbox_sig; receivers;
     pending = Bitset.create n;
@@ -407,13 +407,13 @@ let process_acks t hs ~cycle =
 let check_retransmit t c i ~cycle =
   let hs = c.hops.(i) in
   if (not (Fifo.is_empty hs.rtx)) && cycle >= hs.deadline then begin
-    let count = min t.capacity (Fifo.length hs.rtx) in
+    let count = Int.min t.capacity (Fifo.length hs.rtx) in
     for j = 0 to count - 1 do
       put t c ~hop:(Fifo.nth_key hs.rtx j) (Fifo.nth hs.rtx j) i ~cycle
     done;
     t.retransmits <- t.retransmits + count;
     hs.attempt <- hs.attempt + 1;
-    hs.deadline <- cycle + (t.rtx_base lsl min hs.attempt max_backoff_shift);
+    hs.deadline <- cycle + (t.rtx_base lsl Int.min hs.attempt max_backoff_shift);
     Helix_obs.Trace.retransmit t.trace ~cycle ~node:i ~wire:(wire_name c)
       ~count ~attempt:hs.attempt
   end

@@ -14,6 +14,8 @@
    Line and set indices use floor division, so a negative address has a
    line and a set like any other. *)
 
+module Ih = Hashtbl.Make (Int)
+
 type bounded = {
   n_sets : int;
   assoc : int;
@@ -30,7 +32,7 @@ type bounded = {
 }
 
 type unbounded = {
-  tbl : (int, int) Hashtbl.t;
+  tbl : int Ih.t;
   mutable u_hits : int;
   mutable u_misses : int;
   mutable u_last : int;
@@ -40,9 +42,9 @@ type t = Bounded of bounded | Unbounded of unbounded
 
 let create ?(line_words = 1) ~size_words ~assoc () =
   if size_words = max_int then
-    Unbounded { tbl = Hashtbl.create 1024; u_hits = 0; u_misses = 0; u_last = 0 }
+    Unbounded { tbl = Ih.create 1024; u_hits = 0; u_misses = 0; u_last = 0 }
   else
-    let n_sets = max 1 (size_words / (assoc * line_words)) in
+    let n_sets = Int.max 1 (size_words / (assoc * line_words)) in
     let ways = n_sets * assoc in
     Bounded
       {
@@ -94,7 +96,7 @@ let rec victim b base w v =
 let lookup t addr =
   match t with
   | Unbounded u -> (
-      match Hashtbl.find u.tbl addr with
+      match Ih.find u.tbl addr with
       | v ->
           u.u_hits <- u.u_hits + 1;
           u.u_last <- v;
@@ -123,7 +125,7 @@ let last_hit = function Unbounded u -> u.u_last | Bounded b -> b.b_last
    the line's other words) on a miss. *)
 let insert t addr value =
   match t with
-  | Unbounded u -> Hashtbl.replace u.tbl addr value
+  | Unbounded u -> Ih.replace u.tbl addr value
   | Bounded b ->
       let tag = line_of b addr in
       let base = base_of b tag in
@@ -145,7 +147,7 @@ let insert t addr value =
 
 let invalidate t addr =
   match t with
-  | Unbounded u -> Hashtbl.remove u.tbl addr
+  | Unbounded u -> Ih.remove u.tbl addr
   | Bounded b ->
       let tag = line_of b addr in
       let i = find b (base_of b tag) tag 0 in
@@ -153,7 +155,7 @@ let invalidate t addr =
 
 let clear t =
   match t with
-  | Unbounded u -> Hashtbl.reset u.tbl
+  | Unbounded u -> Ih.reset u.tbl
   | Bounded b -> Bytes.fill b.valid 0 (Bytes.length b.valid) '\000'
 
 let hits = function Unbounded u -> u.u_hits | Bounded b -> b.b_hits

@@ -22,4 +22,4 @@ let forward_distance ~n_nodes ~src ~dst = (dst - src + n_nodes) mod n_nodes
 (* Undirected distance, as used by the Figure 4b histogram. *)
 let undirected_distance ~n_nodes ~src ~dst =
   let d = forward_distance ~n_nodes ~src ~dst in
-  min d (n_nodes - d)
+  Int.min d (n_nodes - d)

@@ -25,6 +25,8 @@
    acts on a node, fail-stop, is handled here: the node degrades to a
    repeater. *)
 
+module Ih = Hashtbl.Make (Int)
+
 type fault_plan = Link.fault_plan
 
 let faulty = Link.faulty
@@ -113,8 +115,8 @@ type t = {
          node it ran is empty. *)
   link : Link.t;  (* wire i: node i -> node i+1, both classes *)
   mutable next_seq : int;
-  current : (int, int) Hashtbl.t;      (* authoritative loop-shared image *)
-  meta : (int, store_meta) Hashtbl.t;  (* live store metadata per address *)
+  current : int Ih.t;               (* authoritative loop-shared image *)
+  meta : store_meta Ih.t;           (* live store metadata per address *)
   (* figure-4 histograms: index 0 unused; 1..5 exact; 6 = "6+" *)
   dist_hist : int array;
   consumers_hist : int array;
@@ -131,7 +133,7 @@ type t = {
   mutable inflight_data : int;
   mutable inflight_sig : int;
   mutable reknits : int;            (* fail-stopped nodes routed around *)
-  resident : (int, unit) Hashtbl.t;
+  resident : unit Ih.t;
       (* superset of addresses cached in some node array, so serial-phase
          stores can invalidate stale copies cheaply *)
 }
@@ -178,8 +180,8 @@ let create ?trace (cfg : config) (env : env) : t =
         ~inbox_sig:(Array.map (fun n -> n.in_sig) nodes)
         ~receivers:busy cfg.faults;
     next_seq = 0;
-    current = Hashtbl.create 1024;
-    meta = Hashtbl.create 1024;
+    current = Ih.create 1024;
+    meta = Ih.create 1024;
     dist_hist = Array.make 7 0;
     consumers_hist = Array.make 7 0;
     ring_hits = 0;
@@ -189,7 +191,7 @@ let create ?trace (cfg : config) (env : env) : t =
     inflight_data = 0;
     inflight_sig = 0;
     reknits = 0;
-    resident = Hashtbl.create 1024;
+    resident = Ih.create 1024;
   }
 
 let succ t i = (i + 1) mod t.cfg.n_nodes
@@ -201,7 +203,7 @@ let popcount x =
 let bucket_of n = if n >= 6 then 6 else n
 
 let finalize_meta t addr =
-  match Hashtbl.find_opt t.meta addr with
+  match Ih.find_opt t.meta addr with
   | None -> ()
   | Some m ->
       let nc = popcount m.sm_consumers in
@@ -212,7 +214,7 @@ let finalize_meta t addr =
             t.dist_hist.(bucket_of d) <- t.dist_hist.(bucket_of d) + 1
         | _ -> ()
       end;
-      Hashtbl.remove t.meta addr
+      Ih.remove t.meta addr
 
 (* -- core-facing operations ----------------------------------------- *)
 
@@ -228,12 +230,12 @@ let try_store t ~node ~addr ~value ~cycle =
   end
   else begin
     finalize_meta t addr;
-    Hashtbl.replace t.meta addr
+    Ih.replace t.meta addr
       { sm_origin = node; sm_consumers = 0; sm_first_dist = None };
-    Hashtbl.replace t.current addr value;
+    Ih.replace t.current addr value;
     (* locally visible right away; remote nodes see it when it arrives *)
     Node_array.insert n.array addr value;
-    Hashtbl.replace t.resident addr ();
+    Ih.replace t.resident addr ();
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     n.last_accepted_data <- seq;
@@ -283,7 +285,7 @@ let load t ~node ~addr ~cycle =
     let v = Node_array.last_hit n.array in
     t.ring_hits <- t.ring_hits + 1;
     (* consumer tracking for Figures 4b/4c *)
-    (match Hashtbl.find_opt t.meta addr with
+    (match Ih.find_opt t.meta addr with
     | Some m when m.sm_origin <> node ->
         m.sm_consumers <- m.sm_consumers lor (1 lsl node);
         if m.sm_first_dist = None then
@@ -298,7 +300,7 @@ let load t ~node ~addr ~cycle =
     t.ring_misses <- t.ring_misses + 1;
     let owner = Owner.node_of ~n_nodes:t.cfg.n_nodes addr in
     let value =
-      match Hashtbl.find_opt t.current addr with
+      match Ih.find_opt t.current addr with
       | Some v -> v
       | None -> t.env.backing_load addr
     in
@@ -313,9 +315,9 @@ let load t ~node ~addr ~cycle =
       + l1
     in
     let on = t.nodes.(owner) in
-    on.stall_until <- max on.stall_until (cycle + l1);
+    on.stall_until <- Int.max on.stall_until (cycle + l1);
     Node_array.insert n.array addr value;
-    Hashtbl.replace t.resident addr ();
+    Ih.replace t.resident addr ();
     (value, lat)
   end
 
@@ -332,7 +334,7 @@ let signals_received t ~node ~seg ~origin =
 
 let max_outstanding_signals t =
   Array.fold_left
-    (fun acc n -> max acc (Signal_buffer.max_outstanding n.sigbuf))
+    (fun acc n -> Int.max acc (Signal_buffer.max_outstanding n.sigbuf))
     0 t.nodes
 
 (* Serial-phase (non-segment) stores to an address cached in the ring
@@ -340,9 +342,9 @@ let max_outstanding_signals t =
    locations are ring-only *during* a parallel loop, but between loops
    ordinary code may write them. *)
 let invalidate_addr t addr =
-  if Hashtbl.mem t.resident addr then begin
+  if Ih.mem t.resident addr then begin
     Array.iter (fun n -> Node_array.invalidate n.array addr) t.nodes;
-    Hashtbl.remove t.resident addr
+    Ih.remove t.resident addr
   end
 
 (* Are the data channels empty?  The flush keeps node arrays valid across
@@ -534,7 +536,7 @@ let dead_nodes t =
    it).  Waking a stalled node exactly at [stall_until], and link
    messages exactly at their arrival cycle, matches [tick]'s rules.  The
    fold is closure- and option-free: it runs on every engine round. *)
-let[@inline] earliest ~now c w =
+let[@inline] earliest ~now (c : int) w =
   let c = if c < now then now else c in
   if c < w then c else w
 
@@ -561,8 +563,8 @@ let rec scan_nodes t ~now i w =
         if buffered then now else w
       else if now < n.stall_until then
         let w = if buffered then earliest ~now n.stall_until w else w in
-        let w = earliest ~now (max (ready_at n.inject_data) n.stall_until) w in
-        earliest ~now (max (ready_at n.inject_sig) n.stall_until) w
+        let w = earliest ~now (Int.max (ready_at n.inject_data) n.stall_until) w in
+        earliest ~now (Int.max (ready_at n.inject_sig) n.stall_until) w
       else if (not (Fifo.is_empty n.in_data)) || sig_head_ready n then now
       else
         earliest ~now (ready_at n.inject_sig)
@@ -614,29 +616,29 @@ let reset_traffic t =
    signal buffers, and finalize sharing statistics.  Returns the latency
    charged to the loop epilogue. *)
 let flush t ~cycle =
-  let dirty = Hashtbl.length t.current in
-  Hashtbl.iter (fun addr v -> t.env.backing_store addr v) t.current;
+  let dirty = Ih.length t.current in
+  Ih.iter (fun addr v -> t.env.backing_store addr v) t.current;
   let per_node = Array.make t.cfg.n_nodes 0 in
-  Hashtbl.iter
+  Ih.iter
     (fun addr _ ->
       let o = Owner.node_of ~n_nodes:t.cfg.n_nodes addr in
       per_node.(o) <- per_node.(o) + 1)
     t.current;
-  Hashtbl.reset t.current;
-  let addrs = Hashtbl.fold (fun a _ acc -> a :: acc) t.meta [] in
+  Ih.reset t.current;
+  let addrs = Ih.fold (fun a _ acc -> a :: acc) t.meta [] in
   List.iter (finalize_meta t) addrs;
   (* dirty values are written back above; clean copies stay valid so the
      next invocation hits (only synchronization state resets) -- unless
      the invalidate-all ablation is on *)
   if t.cfg.flush_invalidates then begin
-    Hashtbl.reset t.resident;
+    Ih.reset t.resident;
     Array.iter (fun n -> Node_array.clear n.array) t.nodes
   end;
   reset_traffic t;
   ignore cycle;
   (* each owner writes its share back in parallel; charge the max *)
-  let max_share = Array.fold_left max 0 per_node in
-  if dirty = 0 then 1 else 2 * max_share |> max 1
+  let max_share = Array.fold_left Int.max 0 per_node in
+  if dirty = 0 then 1 else 2 * max_share |> Int.max 1
 
 (* Abandon the current invocation without write-back: the executor's
    fallback path rolls memory back to the loop-entry image and
@@ -647,9 +649,9 @@ let flush t ~cycle =
    Sharing-histogram contributions from the aborted invocation are kept;
    they describe traffic that really occurred. *)
 let abort t =
-  Hashtbl.reset t.current;
-  Hashtbl.reset t.meta;
-  Hashtbl.reset t.resident;
+  Ih.reset t.current;
+  Ih.reset t.meta;
+  Ih.reset t.resident;
   Array.iter
     (fun n ->
       Node_array.clear n.array;

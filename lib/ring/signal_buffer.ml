@@ -27,7 +27,7 @@ let get t ~seg i =
 let row t ~seg ~origin =
   let n = Array.length t.rows in
   if seg >= n then begin
-    let rows = Array.make (max (seg + 1) (2 * n)) [||] in
+    let rows = Array.make (Int.max (seg + 1) (2 * n)) [||] in
     Array.blit t.rows 0 rows 0 n;
     t.rows <- rows
   end;
@@ -35,7 +35,7 @@ let row t ~seg ~origin =
   let m = Array.length row in
   if (2 * origin) + 1 < m then row
   else begin
-    let row' = Array.make (max ((2 * origin) + 2) (2 * m)) 0 in
+    let row' = Array.make (Int.max ((2 * origin) + 2) (2 * m)) 0 in
     Array.blit row 0 row' 0 m;
     t.rows.(seg) <- row';
     row'
@@ -47,7 +47,7 @@ let record t ~seg ~origin =
   let row = row t ~seg ~origin in
   let i = 2 * origin in
   row.(i) <- row.(i) + 1;
-  t.max_outstanding <- max t.max_outstanding (row.(i) - row.(i + 1))
+  t.max_outstanding <- Int.max t.max_outstanding (row.(i) - row.(i + 1))
 
 (* [satisfied t ~seg ~origin ~threshold] checks whether at least
    [threshold] signals have arrived, marking them consumed for the

@@ -246,6 +246,39 @@ let ooo_tests =
         [ "164.gzip"; "197.parser" ])
     [ Mach_config.ooo2_core; Mach_config.ooo4_core ]
 
+(* The 1-core sequential runs every speed-up is divided by (the
+   benchmark's seq-all jobs): the unmodified program on the in-order
+   core and on the 4-wide OoO core, configured as
+   [Helix.run_sequential] does, under each engine. *)
+let sequential_tests =
+  let seq_run ~engine mach (wl : Workload.t) =
+    let s = wl.Workload.build () in
+    let cfg =
+      Executor.default_config ~ring:false ~comm:Executor.fully_coupled ~engine
+        (Mach_config.with_cores mach 1)
+    in
+    Executor.run cfg s.Workload.prog (s.Workload.init Workload.Ref)
+  in
+  let case label mach wl_name =
+    let wl = Registry.find wl_name in
+    let name = Printf.sprintf "%s / %s" wl_name label in
+    tc name (fun () ->
+        let l = seq_run ~engine:Engine.Legacy mach wl in
+        let e = seq_run ~engine:Engine.Event mach wl in
+        check_identical_kind ~kind:1 l e;
+        record_digest name l)
+  in
+  let cint =
+    [ "164.gzip"; "175.vpr"; "197.parser"; "300.twolf"; "181.mcf"; "256.bzip2" ]
+  in
+  List.map
+    (case "sequential in-order" Mach_config.default)
+    (cint @ [ "183.equake"; "188.ammp"; "177.mesa" ])
+  @ List.map
+      (case "sequential ooo width 4"
+         (Mach_config.with_core_kind Mach_config.default Mach_config.ooo4_core))
+      cint
+
 (* ---- fuel and watchdog under fast-forward --------------------------- *)
 
 (* A fast-forward window must never jump over the fuel boundary or the
@@ -506,6 +539,7 @@ let () =
     [
       ("differential", differential_tests);
       ("ooo-differential", ooo_tests);
+      ("seq-differential", sequential_tests);
       ("stuck-boundaries", [ fuel_test; watchdog_test ]);
       ( "synthetic",
         synthetic_tests

@@ -911,6 +911,41 @@ let context_tests =
         check Alcotest.int "depth 2" 2 (Context.wait_depth ctx);
         ignore (Context.next_uop ctx);
         check Alcotest.int "depth 1 again" 1 (Context.wait_depth ctx));
+    tc "start_body on a returned frame acts as a fresh start" (fun () ->
+        (* body(x, y) = x + y + z, where z is read before it is written:
+           a reused frame must zero z and unpassed parameters again *)
+        let x = 0 and y = 1 in
+        let b = Builder.create ~params:[ x; y ] "body" in
+        let z = Builder.fresh b in
+        let s = Builder.add b (Ir.Reg x) (Ir.Reg y) in
+        let s = Builder.add b (Ir.Reg s) (Ir.Reg z) in
+        Builder.mov_to b z (Ir.Imm 100);
+        Builder.ret b (Some (Ir.Reg s));
+        let p = Ir.create_program () in
+        Ir.add_func p (Builder.func b);
+        let code = Context.code p in
+        let body = Context.body code "body" in
+        let run ctx args =
+          Context.start_body ctx body args;
+          let rec go () =
+            match Context.next_uop ctx with
+            | Some _ -> go ()
+            | None -> (
+                match Context.status ctx with
+                | Context.Finished rv -> rv
+                | _ -> Alcotest.fail "context stuck")
+          in
+          go ()
+        in
+        let reused = Context.create code (Memory.create ()) ~core_id:0 in
+        List.iter
+          (fun args ->
+            let fresh = Context.create code (Memory.create ()) ~core_id:0 in
+            check
+              Alcotest.(option int)
+              "same return as a fresh context" (run fresh args)
+              (run reused args))
+          [ [| 5; 7 |]; [| 1 |]; [| 2; 3 |]; [||] ]);
     tc "register tokens are injective and dense" (fun () ->
         List.iter
           (fun s ->

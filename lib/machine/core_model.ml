@@ -24,16 +24,3 @@ type supply = {
          belongs to *)
   sup_settled : unit -> bool;
 }
-
-module type S = sig
-  type t
-
-  val create : Mach_config.core_config -> supply -> t
-  val tick : t -> int -> unit
-  (** [tick t cycle] advances the core by one clock cycle. *)
-
-  val quiescent : t -> bool
-  (** No uop in flight and the supply currently yields nothing. *)
-
-  val stats : t -> Stats.t
-end

@@ -342,6 +342,42 @@ let run_core kind width uops =
 
 let alu ?(srcs = []) ?dst lat = Uop.mk ~srcs ?dst (Uop.Alu lat)
 
+(* An out-of-order core fed [uops]; shared operations complete at once
+   and [mem] sees each private access's issue cycle. *)
+let ooo_core ?(mem = fun ~cycle:_ -> ()) cfg uops =
+  let remaining = ref uops in
+  Core.create ~id:0 cfg
+    {
+      Core_model.sup_next =
+        (fun () ->
+          match !remaining with
+          | [] -> None
+          | u :: tl ->
+              remaining := tl;
+              Some u);
+      sup_mem =
+        (fun ~cycle ~write:_ ~addr:_ ->
+          mem ~cycle;
+          1);
+      sup_shared =
+        (fun ~cycle:_ ~tag:_ _ -> Uop.Sh_done { latency = 1; value = 0 });
+      sup_settled = (fun () -> true);
+    }
+
+(* Tick [core] at [cycle] and return the bucket that cycle was charged. *)
+let tick_bucket core cycle =
+  let st = Core.stats core in
+  let before = List.map (Stats.get st) Stats.all_buckets in
+  Core.tick core cycle;
+  let moved =
+    List.filter_map
+      (fun (b, n) -> if Stats.get st b > n then Some b else None)
+      (List.combine Stats.all_buckets before)
+  in
+  match moved with
+  | [ b ] -> b
+  | _ -> Alcotest.failf "cycle %d charged %d buckets" cycle (List.length moved)
+
 let core_tests =
   [
     tc "in-order: dependent chain takes at least its latency" (fun () ->
@@ -470,6 +506,51 @@ let core_tests =
         let c_narrow = run narrow (mk ()) in
         let c_wide = run Mach_config.ooo2_core (mk ()) in
         Alcotest.(check bool) "window-1 slower" true (c_narrow > c_wide));
+    tc "ooo: issued wait/signal alone charges wait/signal" (fun () ->
+        (* cycle 0 dispatches both; cycle 1 issues the wait from the head,
+           and the signal behind it may not issue yet *)
+        let core =
+          ooo_core Mach_config.ooo2_core
+            [ Uop.mk (Uop.Shared (Uop.S_wait 0));
+              Uop.mk (Uop.Shared (Uop.S_signal 0)) ]
+        in
+        ignore (tick_bucket core 0);
+        check Alcotest.string "cycle 1"
+          (Stats.bucket_name Stats.Sync_instr)
+          (Stats.bucket_name (tick_bucket core 1)));
+    tc "ooo: one issued ALU uop makes the cycle busy" (fun () ->
+        let core =
+          ooo_core Mach_config.ooo2_core
+            [ Uop.mk (Uop.Shared (Uop.S_wait 0)); alu ~dst:1 1 ]
+        in
+        ignore (tick_bucket core 0);
+        check Alcotest.string "cycle 1" (Stats.bucket_name Stats.Busy)
+          (Stats.bucket_name (tick_bucket core 1)));
+    tc "ooo: at most width uops issue per cycle" (fun () ->
+        (* 63 loads wait on one long op, so the whole window turns ready
+           in the same cycle *)
+        let cfg = Mach_config.ooo4_core in
+        let n = cfg.Mach_config.window - 1 in
+        let issued_at = Array.make 10_000 0 in
+        let uops =
+          alu ~dst:0 100
+          :: List.init n (fun i ->
+                 Uop.mk ~srcs:[ 0 ] ~dst:(1 + i) (Uop.Load_priv (8 * i)))
+        in
+        let core =
+          ooo_core
+            ~mem:(fun ~cycle -> issued_at.(cycle) <- issued_at.(cycle) + 1)
+            cfg uops
+        in
+        let cycle = ref 0 in
+        while (not (Core.quiescent core)) && !cycle < 10_000 do
+          Core.tick core !cycle;
+          incr cycle
+        done;
+        check Alcotest.int "every load issued" n
+          (Array.fold_left ( + ) 0 issued_at);
+        check Alcotest.int "busiest cycle" cfg.Mach_config.width
+          (Array.fold_left Int.max 0 issued_at));
   ]
 
 (* ---- stats -------------------------------------------------------------------- *)

@@ -26,13 +26,25 @@ let quick =
   let doc = "Run on the integer benchmarks only (faster)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* A count of at least 1: [-j] and [chaos --schedules]. *)
+let positive_int =
+  Arg.conv
+    ( (fun s ->
+        match Helix_obs.Env.int_at_least 1 s with
+        | Some n -> Ok n
+        | None ->
+            Error (`Msg (Printf.sprintf "%S is not a positive integer" s))),
+      Fmt.int )
+
 let jobs_arg =
   let doc =
     "Evaluate independent figure points on up to $(docv) host cores \
      (OCaml domains).  Defaults to the HELIX_BENCH_JOBS environment \
      variable, or 1 (strictly sequential)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+  Arg.(
+    value & opt (some positive_int) None
+    & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
 let set_jobs = function Some n -> Exp_common.Pool.set_jobs n | None -> ()
 
@@ -240,10 +252,7 @@ let engine_arg =
   Arg.(
     value & opt (some engine_conv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-(* HELIX-RC run honouring --trace/--check/--strict/--faults/--engine:
-   any of them bypasses the memo cache (the cached result has no events
-   attached and was produced under the fault-free, unchecked, default
-   configuration). *)
+(* HELIX-RC run honouring --trace/--check/--strict/--faults/--engine. *)
 let run_helix_obs wl ~trace ~check ~strict ?faults ~engine () =
   let robust =
     if strict then
@@ -251,11 +260,8 @@ let run_helix_obs wl ~trace ~check ~strict ?faults ~engine () =
     else if check then Some Executor.checked
     else None
   in
-  if trace = None && robust = None && faults = None && engine = None then
-    Exp_common.run_helix wl Exp_common.V3
-  else
-    Exp_common.parallel ~cache:false ~tag:"helix-robust" wl Exp_common.V3
-      (Exp_common.helix_cfg ?trace ?robust ?faults ?engine ())
+  Exp_common.parallel wl Exp_common.V3
+    (Exp_common.helix_cfg ?trace ?robust ?faults ?engine ())
 
 let dump_obs (par : Executor.result) ~trace_sink ~metrics_sink trace =
   (match (trace_sink, trace) with
@@ -431,7 +437,7 @@ let chaos_cmd =
   in
   let schedules_arg =
     let doc = "Number of seeded fault schedules (each runs on every engine)." in
-    Arg.(value & opt int 200 & info [ "schedules" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 200 & info [ "schedules" ] ~docv:"N" ~doc)
   in
   let seed_base_arg =
     let doc = "First schedule seed (schedules use seeds $(docv)..$(docv)+N-1)." in

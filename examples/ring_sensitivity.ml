@@ -22,7 +22,7 @@ let run_with cfg_f =
   let base = Exp_common.helix_cfg () in
   let rc = Ring.default_config ~n_nodes:16 in
   let cfg = { base with Executor.ring_cfg = Some (cfg_f rc) } in
-  let r = Exp_common.parallel ~cache:false ~tag:"sens" wl Exp_common.V3 cfg in
+  let r = Exp_common.parallel wl Exp_common.V3 cfg in
   (Exp_common.speedup_of wl r, Exp_common.verified wl r)
 
 let show label (speedup, ok) =

@@ -24,10 +24,8 @@ let with_ring f =
   { base with
     Executor.ring_cfg = Some (f (Ring.default_config ~n_nodes:16)) }
 
-let measure ?version ~tag wl cfg =
-  let version = Option.value version ~default:Exp_common.V3 in
-  Exp_common.speedup_of wl
-    (Exp_common.parallel ~cache:false ~tag wl version cfg)
+let measure wl cfg =
+  Exp_common.speedup_of wl (Exp_common.parallel wl Exp_common.V3 cfg)
 
 let run ?(workloads = default_workloads ()) () : row list =
   let speedups f =
@@ -36,7 +34,7 @@ let run ?(workloads = default_workloads ()) () : row list =
   [
     { ab_name = "HELIX-RC (default)";
       ab_speedups =
-        speedups (fun wl -> measure ~tag:"abl:default" wl (with_ring Fun.id)) };
+        speedups (fun wl -> measure wl (with_ring Fun.id)) };
     { ab_name = "no wait elimination";
       ab_speedups =
         speedups (fun wl ->
@@ -58,12 +56,12 @@ let run ?(workloads = default_workloads ()) () : row list =
     { ab_name = "flush invalidates all copies";
       ab_speedups =
         speedups (fun wl ->
-            measure ~tag:"abl:flushinv" wl
+            measure wl
               (with_ring (fun rc -> { rc with Ring.flush_invalidates = true }))) };
     { ab_name = "strict signal injection";
       ab_speedups =
         speedups (fun wl ->
-            measure ~tag:"abl:strictsig" wl
+            measure wl
               (with_ring (fun rc ->
                    { rc with Ring.greedy_sig_inject = false }))) };
   ]

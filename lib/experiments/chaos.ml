@@ -91,9 +91,6 @@ let run_one ?(watchdog = default_watchdog) (wl : Workload.t)
     Exp_common.helix_cfg ~robust:Executor.checked ~faults:plan ~engine ()
   in
   let cfg = { cfg with Executor.watchdog_cycles = watchdog } in
-  let tag =
-    Printf.sprintf "chaos/%s/%d" (Engine.kind_to_string engine) seed
-  in
   let base outcome cycles m fallbacks =
     let find k = Option.value ~default:0 (Metrics.find_int m k) in
     {
@@ -110,7 +107,7 @@ let run_one ?(watchdog = default_watchdog) (wl : Workload.t)
       cr_fallbacks = fallbacks;
     }
   in
-  match Exp_common.parallel ~cache:false ~tag wl Exp_common.V3 cfg with
+  match Exp_common.parallel wl Exp_common.V3 cfg with
   | r ->
       let outcome =
         if not (Exp_common.verified wl r) then
@@ -174,15 +171,7 @@ let sweep ?(schedules = 200) ?(engines = Engine.all)
   (* Warm compile + sequential-baseline caches before domains fan out. *)
   Exp_common.precompile ~versions:[ Exp_common.V3 ] workloads;
   let n_cores = Mach_config.default.Mach_config.n_cores in
-  let horizon =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun wl ->
-        Hashtbl.replace tbl wl.Workload.name
-          (Exp_common.run_helix wl Exp_common.V3).Executor.r_cycles)
-      workloads;
-    fun wl -> Hashtbl.find tbl wl.Workload.name
-  in
+  let horizon wl = (Exp_common.run_helix wl Exp_common.V3).Executor.r_cycles in
   let wls = Array.of_list workloads in
   let jobs =
     List.concat_map

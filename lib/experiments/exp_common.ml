@@ -32,7 +32,7 @@ module Pool = struct
       ~default:1 (Helix_obs.Env.int_at_least 1)
 
   let jobs_ref = ref env_jobs
-  let set_jobs n = jobs_ref := max 1 n
+  let set_jobs n = jobs_ref := n
   let jobs () = !jobs_ref
 
   let map (f : 'a -> 'b) (xs : 'a list) : 'b list =
@@ -68,67 +68,53 @@ end
 
 (* ---- memo tables --------------------------------------------------- *)
 
-(* The caches are shared across pool domains; Hashtbl is not
-   thread-safe, so every access goes through [memo_lock].  Lookup and
+(* Every table is keyed on the configuration value itself, so two
+   figures that ask for the same run share one simulation and two
+   different runs can never share a result.  Polymorphic equality and
+   hashing suffice: every key field is plain data (a closure would make
+   [compare] raise rather than alias).
+
+   The caches are shared across pool domains; Hashtbl is not
+   thread-safe, so every access holds [memo_mutex].  Lookup and
    store are locked separately: two domains may race to compute the
    same key, which costs a duplicate simulation but never corrupts the
    table (both compute identical results). *)
 let memo_mutex = Mutex.create ()
 
-let memo_lock f =
-  Mutex.lock memo_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) f
+let memo table key compute =
+  match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt table key) with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Mutex.protect memo_mutex (fun () -> Hashtbl.replace table key v);
+      v
 
-let seq_cache : (string * string, Executor.result) Hashtbl.t =
+let seq_cache : (string * Mach_config.t, Executor.result) Hashtbl.t =
   Hashtbl.create 16
 
-let compiled_cache : (string * string, Hcc.compiled) Hashtbl.t =
+let compiled_cache : (string * version * int, Hcc.compiled) Hashtbl.t =
   Hashtbl.create 16
 
-let par_cache : (string * string, Executor.result) Hashtbl.t =
+let par_cache :
+    (string * version * Executor.config, Executor.result) Hashtbl.t =
   Hashtbl.create 64
 
-let core_kind_name (c : Mach_config.core_config) =
-  Printf.sprintf "%s%d"
-    (match c.Mach_config.kind with
-    | Mach_config.In_order -> "io"
-    | Mach_config.Out_of_order -> "ooo")
-    c.Mach_config.width
-
-(* Sequential baseline on one core of [mach]'s core type. *)
+(* Sequential baseline on one core of [mach]. *)
 let sequential ?(mach = Mach_config.default) (wl : Workload.t) :
     Executor.result =
-  let key = (wl.Workload.name, core_kind_name mach.Mach_config.core) in
-  match memo_lock (fun () -> Hashtbl.find_opt seq_cache key) with
-  | Some r -> r
-  | None ->
+  memo seq_cache (wl.Workload.name, mach) (fun () ->
       let s = wl.Workload.build () in
-      let r =
-        Helix.run_sequential mach s.Workload.prog (s.Workload.init Workload.Ref)
-      in
-      memo_lock (fun () -> Hashtbl.replace seq_cache key r);
-      r
+      Helix.run_sequential mach s.Workload.prog (s.Workload.init Workload.Ref))
 
 (* Compile [wl] with [version] targeting [cores]. *)
 let compiled ?(cores = 16) (wl : Workload.t) (version : version) :
     Hcc.compiled =
-  let key =
-    (wl.Workload.name, Printf.sprintf "%s/%d" (version_name version) cores)
-  in
-  match memo_lock (fun () -> Hashtbl.find_opt compiled_cache key) with
-  | Some c -> c
-  | None ->
+  memo compiled_cache (wl.Workload.name, version, cores) (fun () ->
       let s = wl.Workload.build () in
-      let c =
-        Hcc.compile
-          ((config_of version) ~target_cores:cores ())
-          s.Workload.prog s.Workload.layout
-          ~train_mem:(s.Workload.init Workload.Train)
-      in
-      (* remember the init function via a fresh build (same deterministic
-         data); store compiled only *)
-      memo_lock (fun () -> Hashtbl.replace compiled_cache key c);
-      c
+      Hcc.compile
+        ((config_of version) ~target_cores:cores ())
+        s.Workload.prog s.Workload.layout
+        ~train_mem:(s.Workload.init Workload.Train))
 
 (* Warm the memo tables for a whole workload registry in parallel before
    a sweep: every (workload, compiler version) pair plus the sequential
@@ -151,27 +137,27 @@ let ref_mem (wl : Workload.t) : Memory.t =
   let s = wl.Workload.build () in
   s.Workload.init Workload.Ref
 
-(* Parallel run; [tag] distinguishes executor configurations in the memo
-   key.  Pass [cache:false] for sweep points used only once. *)
-let parallel ?(cache = true) ~(tag : string) (wl : Workload.t)
-    (version : version) (exec_cfg : Executor.config) : Executor.result =
-  let key =
-    ( wl.Workload.name,
-      Printf.sprintf "%s/%d/%s" (version_name version)
-        exec_cfg.Executor.mach.Mach_config.n_cores tag )
+(* Parallel run of [wl]'s [version] code under [exec_cfg].  Three kinds
+   of run always simulate and are not stored: a traced run (its events
+   go to the caller's sink), a checked run, and a run under a ring fault
+   plan (the chaos sweep's one-off runs would only grow the table). *)
+let parallel (wl : Workload.t) (version : version) (exec_cfg : Executor.config)
+    : Executor.result =
+  let run () =
+    let c =
+      compiled ~cores:exec_cfg.Executor.mach.Mach_config.n_cores wl version
+    in
+    Executor.run ~compiled:c exec_cfg c.Hcc.cp_prog (ref_mem wl)
   in
-  match
-    if cache then memo_lock (fun () -> Hashtbl.find_opt par_cache key)
-    else None
-  with
-  | Some r -> r
-  | None ->
-      let c =
-        compiled ~cores:exec_cfg.Executor.mach.Mach_config.n_cores wl version
-      in
-      let r = Executor.run ~compiled:c exec_cfg c.Hcc.cp_prog (ref_mem wl) in
-      if cache then memo_lock (fun () -> Hashtbl.replace par_cache key r);
-      r
+  let stored =
+    Option.is_none exec_cfg.Executor.trace
+    && exec_cfg.Executor.robust = Executor.no_robustness
+    && Option.is_none
+         (Option.bind exec_cfg.Executor.ring_cfg (fun rc ->
+              rc.Helix_ring.Ring.faults))
+  in
+  if stored then memo par_cache (wl.Workload.name, version, exec_cfg) run
+  else run ()
 
 (* Canonical executor configurations *)
 
@@ -195,10 +181,10 @@ let helix_cfg ?(mach = Mach_config.default) ?trace ?robust ?faults ?engine
 
 (* Conventional run of a version's code (HCCv1/v2 always run here). *)
 let run_conventional wl version =
-  parallel ~tag:"conv" wl version (conventional_cfg ())
+  parallel wl version (conventional_cfg ())
 
 (* Full HELIX-RC run. *)
-let run_helix wl version = parallel ~tag:"helix" wl version (helix_cfg ())
+let run_helix wl version = parallel wl version (helix_cfg ())
 
 let speedup_of wl (par : Executor.result) =
   Helix.speedup ~seq:(sequential wl) ~par

@@ -31,7 +31,7 @@ let run ?(workloads = Registry.integer) () : row list =
             let mach = Mach_config.with_core_kind Mach_config.default core in
             let seq = Exp_common.sequential ~mach wl in
             let par =
-              Exp_common.parallel ~tag:("fig10:" ^ tag) wl Exp_common.V3
+              Exp_common.parallel wl Exp_common.V3
                 (Exp_common.helix_cfg ~mach ())
             in
             (tag, seq, Helix_core.Helix.speedup ~seq ~par))

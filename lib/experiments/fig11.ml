@@ -21,11 +21,7 @@ let run_sweep ?(workloads = Registry.integer) ~label
           Exp_common.Pool.map
             (fun wl ->
               let cfg = mk_cfg () in
-              let r =
-                Exp_common.parallel
-                  ~tag:(Printf.sprintf "fig11:%s:%s" label pname)
-                  wl Exp_common.V3 cfg
-              in
+              let r = Exp_common.parallel wl Exp_common.V3 cfg in
               (wl.Workload.name, Exp_common.speedup_of wl r))
             workloads;
       })

@@ -37,8 +37,7 @@ let run ?(workloads = Registry.integer) () : row list =
             let cfg = Executor.default_config ~ring:true ~comm:m.comm
                 Helix_machine.Mach_config.default in
             Exp_common.speedup_of wl
-              (Exp_common.parallel ~tag:("fig8:" ^ m.label) wl Exp_common.V3
-                 cfg))
+              (Exp_common.parallel wl Exp_common.V3 cfg))
           modes
       in
       { name = wl.Workload.name; v2; by_mode })

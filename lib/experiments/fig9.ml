@@ -38,8 +38,7 @@ let run ?(workloads = Registry.integer) () : row list =
   Exp_common.Pool.map
     (fun wl ->
       let conv =
-        Exp_common.parallel ~tag:"fig9conv" wl Exp_common.V3
-          (Exp_common.conventional_cfg ())
+        Exp_common.parallel wl Exp_common.V3 (Exp_common.conventional_cfg ())
       in
       let ring = Exp_common.run_helix wl Exp_common.V3 in
       {

@@ -527,6 +527,8 @@ let pool_tests =
         let xs = List.init 10 Fun.id in
         check (Alcotest.list Alcotest.int) "identity" xs
           (Helix_experiments.Exp_common.Pool.map Fun.id xs));
+    (* a memo hit is physically the stored value, and only a repeated
+       configuration hits *)
     tc "precompile warms the memo caches" (fun () ->
         let module E = Helix_experiments.Exp_common in
         E.Pool.set_jobs 2;
@@ -535,12 +537,45 @@ let pool_tests =
           (fun () ->
             let wl = Registry.find "164.gzip" in
             E.precompile ~versions:[ E.V3 ] [ wl ];
-            (* subsequent lookups must be cache hits: physically the
-               same result/compiled values precompile stored *)
-            check Alcotest.bool "sequential cached" true
-              (E.sequential wl == E.sequential wl);
-            check Alcotest.bool "compiled cached" true
-              (E.compiled ~cores:16 wl E.V3 == E.compiled ~cores:16 wl E.V3)));
+            let helix = E.run_helix wl E.V3 in
+            (* Fig. 8's "all" column spells the default config its own way *)
+            let fig8_all =
+              Executor.default_config ~ring:true
+                ~comm:Executor.fully_decoupled Mach_config.default
+            in
+            let d = Mach_config.default in
+            let slow_l1 =
+              { d with
+                Mach_config.mem =
+                  { d.Mach_config.mem with
+                    Mach_config.l1 =
+                      { d.Mach_config.mem.Mach_config.l1 with
+                        Mach_config.hit_latency = 4 } } }
+            in
+            let checked () =
+              E.parallel wl E.V3 (E.helix_cfg ~robust:Executor.checked ())
+            in
+            List.iter
+              (fun (what, expected, shared) ->
+                check Alcotest.bool what expected shared)
+              [
+                ("sequential cached", true, E.sequential wl == E.sequential wl);
+                ( "compiled cached", true,
+                  E.compiled wl E.V3 == E.compiled ~cores:16 wl E.V3 );
+                ( "Fig. 8's twin of helix_cfg is its run", true,
+                  E.parallel wl E.V3 fig8_all == helix );
+                ( "another L1 latency is not the default baseline", false,
+                  E.sequential ~mach:slow_l1 wl == E.sequential wl );
+                ( "checked runs are distinct values", false,
+                  checked () == checked () );
+              ];
+            let tr = Helix_obs.Trace.create () in
+            let traced () = E.parallel wl E.V3 (E.helix_cfg ~trace:tr ()) in
+            check Alcotest.bool "a traced run is simulated afresh" false
+              (traced () == helix);
+            check Alcotest.bool "and records its events" true
+              (Helix_obs.Trace.length tr > 0);
+            check Alcotest.bool "every time" false (traced () == traced ())));
   ]
 
 let () =

@@ -139,10 +139,7 @@ let tests =
                     ~faults:(Helix_ring.Ring.faulty ~delay:2 ~seed ())
                     ()
                 in
-                let r =
-                  Exp_common.parallel ~cache:false
-                    ~tag:(Fmt.str "jitter%d" seed) wl Exp_common.V3 cfg
-                in
+                let r = Exp_common.parallel wl Exp_common.V3 cfg in
                 Alcotest.(check (option int))
                   (Fmt.str "%s seed %d: return value" name seed)
                   base.Helix_core.Executor.r_ret

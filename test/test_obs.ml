@@ -433,6 +433,21 @@ let cli_tests =
         ("--faults delay=-1", "delay: must be >= 0");
         ("--jitter 1 --faults seed=1,drop=2", "delay=");
       ]
+  @ List.map
+      (fun (args, opt) ->
+        tc (Fmt.str "%s is a usage error" args) (fun () ->
+            let code, out, err = run_cli args in
+            (* cmdliner's exit status for a command-line error *)
+            check Alcotest.int ("exit status: " ^ err) 124 code;
+            check Alcotest.string "nothing run" "" out;
+            Alcotest.(check bool) ("message: " ^ err) true
+              (contains err opt && contains err "not a positive integer")))
+      [
+        ("chaos --schedules=-1", "--schedules");
+        ("chaos --schedules 0", "--schedules");
+        ("all --quick -j 0", "-j");
+        ("fig7 --quick --jobs=-3", "--jobs");
+      ]
   @ [
       tc "a kill scheduled past the end of the run warns" (fun () ->
           let code, out, err = run_cli "run 164.gzip --faults seed=1,kill=3@99999999" in

@@ -207,19 +207,37 @@ let configs =
     ("jitter42", jitter_cfg 42);
   ]
 
+let differential_case (wl : Workload.t) (cfg_name, cfg) =
+  let name = Printf.sprintf "%s / %s" wl.Workload.name cfg_name in
+  tc name (fun () ->
+      let l = run_with ~engine:Engine.Legacy ~cfg wl in
+      let e = run_with ~engine:Engine.Event ~cfg wl in
+      check_identical_kind ~kind:1 l e;
+      record_digest name l)
+
+(* Fig. 8's mixed columns route one communication class differently from
+   the others: [reg] and [reg+mem] carry data on the ring but signal
+   conventionally, [reg+sync] signals on the ring but keeps program
+   memory in the coherent hierarchy. *)
+let mixed_configs =
+  List.filter_map
+    (fun (m : Helix_experiments.Fig8.mode) ->
+      if m.Helix_experiments.Fig8.short = "all" then None
+      else
+        Some
+          ( m.Helix_experiments.Fig8.short,
+            Executor.default_config ~ring:true
+              ~comm:m.Helix_experiments.Fig8.comm Mach_config.default ))
+    Helix_experiments.Fig8.modes
+
 let differential_tests =
   List.concat_map
-    (fun (wl : Workload.t) ->
-      List.map
-        (fun (cfg_name, cfg) ->
-          let name = Printf.sprintf "%s / %s" wl.Workload.name cfg_name in
-          tc name (fun () ->
-              let l = run_with ~engine:Engine.Legacy ~cfg wl in
-              let e = run_with ~engine:Engine.Event ~cfg wl in
-              check_identical_kind ~kind:1 l e;
-              record_digest name l))
-        configs)
+    (fun wl -> List.map (differential_case wl) configs)
     Registry.all
+  @ List.concat_map
+      (fun wl_name ->
+        List.map (differential_case (Registry.find wl_name)) mixed_configs)
+      [ "164.gzip"; "175.vpr" ]
 
 (* Out-of-order cores exercise a different next-event computation.  The
    conventional machine (no ring, lazy signal visibility) adds head-only

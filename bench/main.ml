@@ -111,7 +111,7 @@ let bench_tests =
            in
            ignore
              (Executor.run ~compiled
-                (Executor.default_config ~ring:true
+                (Executor.default_config
                    ~comm:Executor.fully_decoupled ~robust:Executor.checked
                    Mach_config.default)
                 compiled.Hcc.cp_prog
@@ -121,7 +121,7 @@ let bench_tests =
            let c, fresh_mem = Lazy.force twolf in
            ignore
              (Executor.run ~compiled:c
-                (Executor.default_config ~ring:true
+                (Executor.default_config
                    ~comm:Executor.fully_decoupled ~robust:Executor.checked
                    Mach_config.default)
                 c.Hcc.cp_prog (fresh_mem ()))));

@@ -98,13 +98,13 @@ let () =
   Fmt.pr "spellcheck: golden %a, sequential %d cycles@."
     Fmt.(option int) golden.Helix.g_ret seq.Executor.r_cycles;
   List.iter
-    (fun (vname, cfg, ring, comm) ->
+    (fun (vname, cfg, comm) ->
       let sp = spellcheck.Workload.build () in
       let compiled =
         Hcc.compile cfg sp.Workload.prog sp.Workload.layout
           ~train_mem:(sp.Workload.init Workload.Train)
       in
-      let exec_cfg = Executor.default_config ~ring ~comm Mach_config.default in
+      let exec_cfg = Executor.default_config ~comm Mach_config.default in
       let par =
         Executor.run ~compiled exec_cfg compiled.Hcc.cp_prog
           (sp.Workload.init Workload.Ref)
@@ -114,7 +114,7 @@ let () =
         (Helix.speedup ~seq ~par)
         (if (Helix.verify golden par).Helix.ok then "OK" else "FAIL"))
     [
-      ("HCCv1", Hcc_config.v1 (), false, Executor.fully_coupled);
-      ("HCCv2", Hcc_config.v2 (), false, Executor.fully_coupled);
-      ("HELIX-RC", Hcc_config.v3 (), true, Executor.fully_decoupled);
+      ("HCCv1", Hcc_config.v1 (), Executor.fully_coupled);
+      ("HCCv2", Hcc_config.v2 (), Executor.fully_coupled);
+      ("HELIX-RC", Hcc_config.v3 (), Executor.fully_decoupled);
     ]

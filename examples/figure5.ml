@@ -78,7 +78,7 @@ let () =
   let decoupled = Helix.run_parallel compiled (Memory.create ()) in
   (* coupled: same code, conventional machine (as in Figure 5b / 9) *)
   let coupled_cfg =
-    Executor.default_config ~ring:false ~comm:Executor.fully_coupled
+    Executor.default_config ~comm:Executor.fully_coupled
       Mach_config.default
   in
   let coupled =

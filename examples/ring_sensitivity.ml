@@ -20,8 +20,7 @@ let wl = Registry.find "164.gzip"
 
 let run_with cfg_f =
   let base = Exp_common.helix_cfg () in
-  let rc = Ring.default_config ~n_nodes:16 in
-  let cfg = { base with Executor.ring_cfg = Some (cfg_f rc) } in
+  let cfg = { base with Executor.ring_cfg = cfg_f base.Executor.ring_cfg } in
   let r = Exp_common.parallel wl Exp_common.V3 cfg in
   (Exp_common.speedup_of wl r, Exp_common.verified wl r)
 

@@ -29,7 +29,9 @@ module Ih = Hashtbl.Make (Int)
    (a wait completes when *all* other cores' signals have arrived) or the
    conventional chained scheme (a wait polls only its ring predecessor's
    signal, which becomes visible one cache-to-cache latency after it is
-   stored). *)
+   stored).  The three classes are independent axes: the ring is built
+   exactly when some class travels on it, and the sync mode is fixed once
+   at [create]. *)
 
 type comm_mode = {
   reg_via_ring : bool;  (* demoted-register cells through the ring *)
@@ -62,7 +64,7 @@ let checked =
 
 type config = {
   mach : Mach_config.t;
-  ring_cfg : Ring.config option;
+  ring_cfg : Ring.config;
   comm : comm_mode;
   setup_latency : int;
   fuel : int;
@@ -83,13 +85,11 @@ let default_engine =
     ~default:Engine.Event (fun s ->
       Engine.kind_of_string (String.lowercase_ascii s))
 
-let default_config ?(ring = true) ?(comm = fully_decoupled) ?trace
-    ?(robust = no_robustness) ?(engine = default_engine) mach =
+let default_config ?(comm = fully_decoupled) ?trace ?(robust = no_robustness)
+    ?(engine = default_engine) mach =
   {
     mach;
-    ring_cfg =
-      (if ring then Some (Ring.default_config ~n_nodes:mach.Mach_config.n_cores)
-       else None);
+    ring_cfg = Ring.default_config ~n_nodes:mach.Mach_config.n_cores;
     comm;
     setup_latency = 10;
     fuel = 400_000_000;
@@ -194,6 +194,11 @@ type par_state = {
 
 type phase = Serial | Parallel of par_state
 
+(* How signals travel, fixed at [create] by [comm.sync_via_ring]:
+   broadcast on the ring into every node's signal buffer, or stored to
+   shared cells and logged with their visibility cycle. *)
+type sync = Ring of Ring.t | Log of Signal_log.t
+
 type t = {
   cfg : config;
   compiled : Hcc.compiled option;
@@ -202,7 +207,8 @@ type t = {
   mem : Memory.t;
   n : int;
   hier : Hierarchy.t;
-  ring : Ring.t option;
+  ring : Ring.t option;  (* built iff [cfg.comm] routes some class on it *)
+  sync : sync;
   serial_ctx : Context.t;
   workers : worker option array;
   mutable cores : Core.t array;
@@ -221,15 +227,11 @@ type t = {
   total_retired : int ref;
   mutable last_progress : int;
   mutable last_retired : int;
-  (* event-engine state: upcoming conventional-signal visibility cycles
-     (monotone FIFO; only fed when signals bypass the ring) and the
-     scheduler-visible iteration-scheduling signature of the previous
-     cycle, to veto fast-forwarding across a supply-unblocking change *)
-  conv_vis : int Queue.t;
+  (* event-engine state: the scheduler-visible iteration-scheduling
+     signature of the previous cycle, to veto fast-forwarding across a
+     supply-unblocking change *)
   sched_sig : int array;
   mutable sched_changed : bool;
-  (* conventional signalling: (seg, origin) -> store cycles, in order *)
-  conv_log : Signal_log.t;
   (* addresses of demoted-register cells, for routing *)
   reg_cells : unit Ih.t;
   (* robustness state *)
@@ -357,42 +359,56 @@ let find_loop t ~func ~header =
   | None -> None
   | Some c -> Hcc.find_parallel_loop c ~func ~header
 
-(* ---- conventional chained signalling ---- *)
+(* ---- signals, by sync mode ---- *)
 
-let conv_signal_record t ~seg ~origin ~cycle =
-  Signal_log.record t.conv_log ~seg ~origin ~cycle;
-  (* publish the cycle at which this signal becomes visible to waiters,
-     for the event engine: a fast-forward must not cross it.  Record
-     cycles are nondecreasing, so the queue stays sorted. *)
-  Queue.add (cycle + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency))
-    t.conv_vis
+(* A conventional transfer crosses the chip twice: a shared access's
+   request and reply, or a signal's serialized request and transmission
+   (Section 3.2). *)
+let round_trip (mach : Mach_config.t) =
+  2 * mach.Mach_config.mem.Mach_config.c2c_latency
 
-(* Is the [threshold]-th (1-based) signal visible at [cycle], given the
-   cache-to-cache visibility latency?  A [wait_satisfied] predicate. *)
-let conv_signal_visible t ~core:_ ~seg ~cycle origin threshold =
-  threshold <= 0
-  || Signal_log.count t.conv_log ~seg ~origin >= threshold
-     && Signal_log.nth t.conv_log ~seg ~origin threshold
-        (* serialized signal request + transmission (Section 3.2) *)
-        + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency)
-        <= cycle
+(* Has core [core] seen the [threshold]-th signal of [(seg, origin)] by
+   [cycle]?  A [wait_satisfied] predicate. *)
+let signal_met sync ~core ~seg ~cycle origin threshold =
+  match sync with
+  | Ring r -> Ring.signals_satisfied r ~node:core ~seg ~origin ~threshold
+  | Log l -> Signal_log.visible l ~seg ~origin ~cycle threshold
 
-let ring_signals_satisfied ring ~core ~seg ~cycle:_ origin threshold =
-  Ring.signals_satisfied ring ~node:core ~seg ~origin ~threshold
+(* Signals core [core] has seen for [(seg, origin)], without touching
+   the consumed accounting: for diagnostics only. *)
+let received_for t ~core ~seg ~origin =
+  match t.sync with
+  | Ring r -> Ring.signals_received r ~node:core ~seg ~origin
+  | Log l -> Signal_log.count l ~seg ~origin
+
+(* The largest number of un-consumed signals any (segment, origin) pair
+   held in this invocation: only ring signal buffers hold any. *)
+let outstanding_signals t =
+  match t.sync with Ring r -> Ring.max_outstanding_signals r | Log _ -> 0
+
+(* Fold the invocation's outstanding-signal maximum into the run's,
+   before a flush or an abort resets the signal buffers. *)
+let note_outstanding t =
+  t.max_outstanding <- Int.max t.max_outstanding (outstanding_signals t)
+
+(* A new invocation or a fallback forgets the conventional log; ring
+   signal buffers were reset by the flush or abort that ended the
+   previous invocation. *)
+let reset_log t = match t.sync with Log l -> Signal_log.reset l | Ring _ -> ()
 
 (* ---- shared-world callback for core [c] ---- *)
 
-(* Only the mixed decoupling columns of Figure 8 route demoted-register
-   cells differently from program memory; everywhere else the cell
-   lookup is skipped. *)
-let route_via_ring t addr =
-  match t.ring with
-  | None -> false
-  | Some _ ->
-      let c = t.cfg.comm in
-      if c.reg_via_ring <> c.mem_via_ring && Ih.mem t.reg_cells addr then
-        c.reg_via_ring
-      else c.mem_via_ring
+(* The ring that carries [addr], if any.  Only the mixed decoupling
+   columns of Figure 8 route demoted-register cells differently from
+   program memory; everywhere else the cell lookup is skipped. *)
+let ring_for t addr =
+  let c = t.cfg.comm in
+  let via_ring =
+    if c.reg_via_ring <> c.mem_via_ring && Ih.mem t.reg_cells addr then
+      c.reg_via_ring
+    else c.mem_via_ring
+  in
+  if via_ring then t.ring else None
 
 let waits_met t ~core ~seg ~cycle ~local_iter ok env =
   wait_satisfied ~n:t.n ~alive:t.alive ~owned:t.owned ~core ~seg ~cycle
@@ -405,13 +421,6 @@ let waits_resume t ~core ~seg ~cycle ~local_iter ok env =
 (* Lane ownership changed or signal state was reset: every stored wait
    cursor is stale. *)
 let bump_wait_epoch t = t.wait_epoch <- t.wait_epoch + 1
-
-(* Signals core [core] has seen for [(seg, origin)], without touching
-   the consumed accounting: for diagnostics only. *)
-let received_for t ~core ~seg ~origin =
-  match t.ring with
-  | Some r -> Ring.signals_received r ~node:core ~seg ~origin
-  | None -> Signal_log.count t.conv_log ~seg ~origin
 
 (* [(origin, threshold, received)] for each origin core [core]'s wait on
    [seg] in local iteration [local_iter] needs, in the wait's order. *)
@@ -426,85 +435,60 @@ let wait_targets t ~core ~seg ~local_iter =
   List.rev !acc
 
 let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
-  let c2c = t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency in
   (* the uop's stamped iteration, NOT the worker's current counter: an
      out-of-order window may still hold a previous iteration's wait after
      the eager context has started the next assigned iteration *)
   let local_iter = Int.max 0 tag in
   match op with
   | Uop.S_wait seg ->
-      let satisfied =
-        if t.cfg.comm.sync_via_ring then begin
-          match t.ring with
-          | Some ring ->
-              waits_resume t ~core ~seg ~cycle ~local_iter
-                ring_signals_satisfied ring
-          | None -> true
-        end
-        else
-          (* lazy pull-based transmission: the same all-predecessor
-             semantics, but each signal becomes visible only one
-             cache-to-cache latency after it is stored -- this is what
-             serializes the Figure 5b chain *)
-          waits_resume t ~core ~seg ~cycle ~local_iter conv_signal_visible t
-      in
-      if satisfied then begin
+      (* conventional signals keep the same all-predecessor semantics,
+         but each becomes visible only a round trip after it is stored:
+         this is what serializes the Figure 5b chain *)
+      if waits_resume t ~core ~seg ~cycle ~local_iter signal_met t.sync
+      then begin
         Trace.wait_complete t.cfg.trace ~cycle ~core ~seg ~iter:local_iter;
         Uop.Sh_done { latency = 1; value = 0 }
       end
       else Uop.Sh_retry
-  | Uop.S_signal seg ->
-      if t.cfg.comm.sync_via_ring then begin
-        match t.ring with
-        | Some ring ->
-            if Ring.try_signal ring ~node:core ~seg ~cycle then begin
-              t.max_outstanding <-
-                Int.max t.max_outstanding (Ring.max_outstanding_signals ring);
-              Uop.Sh_done { latency = 1; value = 0 }
-            end
-            else Uop.Sh_retry
-        | None -> Uop.Sh_done { latency = 1; value = 0 }
-      end
-      else begin
-        conv_signal_record t ~seg ~origin:core ~cycle;
-        Uop.Sh_done { latency = 2; value = 0 }
-      end
-  | Uop.S_load addr ->
-      if route_via_ring t addr then begin
-        match t.ring with
-        | Some ring ->
-            let value, latency = Ring.load ring ~node:core ~addr ~cycle in
-            Uop.Sh_done { latency; value }
-        | None -> assert false
-      end
-      else begin
-        (* lazy pull-based sharing: the request and the reply each cross
-           the chip, so a remote access costs two transfers on top of the
-           local hierarchy *)
-        let latency =
-          Hierarchy.access t.hier ~core ~cycle ~write:false ~coherent:true
-            addr
-        in
-        Uop.Sh_done
-          { latency = Int.max latency (2 * c2c); value = Memory.load t.mem addr }
-      end
-  | Uop.S_store (addr, v) ->
-      if route_via_ring t addr then begin
-        match t.ring with
-        | Some ring ->
-            if Ring.try_store ring ~node:core ~addr ~value:v ~cycle then
-              Uop.Sh_done { latency = 1; value = 0 }
-            else Uop.Sh_retry
-        | None -> assert false
-      end
-      else begin
-        let latency =
-          Hierarchy.access t.hier ~core ~cycle ~write:true ~coherent:true addr
-        in
-        Memory.store t.mem addr v;
-        (* ownership acquisition: invalidation round trip *)
-        Uop.Sh_done { latency = Int.max latency (2 * c2c); value = 0 }
-      end
+  | Uop.S_signal seg -> (
+      match t.sync with
+      | Ring ring ->
+          if Ring.try_signal ring ~node:core ~seg ~cycle then
+            Uop.Sh_done { latency = 1; value = 0 }
+          else Uop.Sh_retry
+      | Log log ->
+          Signal_log.record log ~seg ~origin:core ~cycle;
+          Uop.Sh_done { latency = 2; value = 0 })
+  | Uop.S_load addr -> (
+      match ring_for t addr with
+      | Some ring ->
+          let value, latency = Ring.load ring ~node:core ~addr ~cycle in
+          Uop.Sh_done { latency; value }
+      | None ->
+          (* lazy pull-based sharing: a remote access costs the round
+             trip on top of the local hierarchy *)
+          let latency =
+            Hierarchy.access t.hier ~core ~cycle ~write:false ~coherent:true
+              addr
+          in
+          Uop.Sh_done
+            { latency = Int.max latency (round_trip t.cfg.mach);
+              value = Memory.load t.mem addr })
+  | Uop.S_store (addr, v) -> (
+      match ring_for t addr with
+      | Some ring ->
+          if Ring.try_store ring ~node:core ~addr ~value:v ~cycle then
+            Uop.Sh_done { latency = 1; value = 0 }
+          else Uop.Sh_retry
+      | None ->
+          let latency =
+            Hierarchy.access t.hier ~core ~cycle ~write:true ~coherent:true
+              addr
+          in
+          Memory.store t.mem addr v;
+          (* ownership acquisition: invalidation round trip *)
+          Uop.Sh_done
+            { latency = Int.max latency (round_trip t.cfg.mach); value = 0 })
   | Uop.S_flush -> Uop.Sh_done { latency = 1; value = 0 }
 
 (* ---- iteration scheduling ---- *)
@@ -681,8 +665,7 @@ let begin_parallel t (pl : Parallel_loop.t) =
         (sr, r0))
       pl.Parallel_loop.pl_shared_regs
   in
-  Signal_log.reset t.conv_log;
-  Queue.clear t.conv_vis;
+  reset_log t;
   spawn_workers t;
   t.phase <-
     Parallel
@@ -722,6 +705,7 @@ let end_parallel_normal t (ps : par_state) =
   let pl = ps.ps_pl in
   let sc = t.serial_ctx in
   let executed = ps.ps_executed in
+  note_outstanding t;
   (* flush the ring cache: the distributed fence at loop exit *)
   let flush_lat =
     match t.ring with
@@ -812,12 +796,12 @@ let oracle_entry t (ps : par_state) : Oracle.entry =
    core. *)
 let do_fallback t (ps : par_state) ~reason =
   let pl = ps.ps_pl in
+  note_outstanding t;
   (match t.ring with Some r -> Ring.abort r | None -> ());
   bump_wait_epoch t;
   Memory.rollback t.mem;
   Memory.close_journal t.mem;
-  Signal_log.reset t.conv_log;
-  Queue.clear t.conv_vis;
+  reset_log t;
   for c = 0 to t.n - 1 do
     t.workers.(c) <- None
   done;
@@ -854,9 +838,7 @@ let detect_violation t =
   else if Depcheck.violations t.depcheck > 0 then
     Some ("dependence", Depcheck.summary t.depcheck)
   else
-    let outstanding =
-      match t.ring with Some r -> Ring.max_outstanding_signals r | None -> 0
-    in
+    let outstanding = outstanding_signals t in
     if outstanding > 2 then
       Some
         ( "signal_bound",
@@ -986,18 +968,24 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
   let serial_ctx = Context.create ~serial:true code mem ~core_id:0 in
   let hier = Hierarchy.create cfg.mach in
   let t_ref = ref None in
+  let comm = cfg.comm in
   let ring =
-    Option.map
-      (fun rc ->
-        Ring.create ?trace:cfg.trace rc
-          {
-            Ring.backing_load = Memory.load mem;
-            backing_store = Memory.store mem;
-            owner_l1_latency =
-              (fun ~core ~cycle ~write ~addr ->
-                Hierarchy.owner_l1_access hier ~core ~cycle ~write addr);
-          })
-      cfg.ring_cfg
+    if comm.reg_via_ring || comm.mem_via_ring || comm.sync_via_ring then
+      Some
+        (Ring.create ?trace:cfg.trace cfg.ring_cfg
+           {
+             Ring.backing_load = Memory.load mem;
+             backing_store = Memory.store mem;
+             owner_l1_latency =
+               (fun ~core ~cycle ~write ~addr ->
+                 Hierarchy.owner_l1_access hier ~core ~cycle ~write addr);
+           })
+    else None
+  in
+  let sync =
+    match ring with
+    | Some r when comm.sync_via_ring -> Ring r
+    | _ -> Log (Signal_log.create ~origins:n ~latency:(round_trip cfg.mach))
   in
   let reg_cells = Ih.create 64 in
   (match compiled with
@@ -1019,6 +1007,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       n;
       hier;
       ring;
+      sync;
       serial_ctx;
       workers = Array.make n None;
       cores = [||];
@@ -1034,10 +1023,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       total_retired = ref 0;
       last_progress = 0;
       last_retired = -1;
-      conv_vis = Queue.create ();
       sched_sig = [| n; 0; 0; 0; 0; 0; 0 |];
       sched_changed = false;
-      conv_log = Signal_log.create ~origins:n;
       reg_cells;
       depcheck = Depcheck.create ();
       mk_core = (fun _ -> invalid_arg "Executor: cores not initialized");
@@ -1047,9 +1034,10 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       alive = Array.make n true;
       owned = Array.init n (fun c -> [ c ]);
       n_active = n;
+      (* a fault plan acts only where a ring is built *)
       pending_death =
-        (match cfg.ring_cfg with
-        | Some { Ring.faults = Some p; _ } -> p.Link.fl_fail_stop
+        (match (ring, cfg.ring_cfg.Ring.faults) with
+        | Some _, Some p -> p.Link.fl_fail_stop
         | _ -> None);
       cursors = Array.init n (fun _ -> wait_cursor ());
       wait_epoch = 0;
@@ -1432,15 +1420,9 @@ let sched_next_event t ~now =
     | Some (_, at) -> add (Int.max now at)
     | None -> ());
     (* conventional-mode signal visibility boundaries *)
-    let rec conv () =
-      match Queue.peek_opt t.conv_vis with
-      | Some v when v < now ->
-          ignore (Queue.pop t.conv_vis);
-          conv ()
-      | Some v -> add v
-      | None -> ()
-    in
-    conv ();
+    (match t.sync with
+    | Log l -> add (Signal_log.next_visible l ~now)
+    | Ring _ -> ());
     (* watchdog trigger: within a serial stall window last_progress
        tracks the clock up to serial_stall_until - 1 *)
     let lp =

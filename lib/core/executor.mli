@@ -18,7 +18,9 @@ open Helix_hcc
     (Figure 8): segment memory traffic goes to the ring or to the
     coherent conventional hierarchy per [comm_mode]; synchronization is
     either proactive ring broadcast or the lazy conventional scheme whose
-    per-signal visibility latency produces the Figure-5b chains. *)
+    per-signal visibility latency produces the Figure-5b chains.  The
+    three classes are independent: a run builds the ring exactly when
+    [comm_mode] sends some class through it. *)
 
 type comm_mode = {
   reg_via_ring : bool;   (** demoted-register cells through the ring *)
@@ -54,7 +56,10 @@ val checked : robustness
 
 type config = {
   mach : Mach_config.t;
-  ring_cfg : Ring.config option;  (** [None]: no ring hardware *)
+  ring_cfg : Ring.config;
+      (** the ring's parameters and fault plan; unused (no ring is
+          built, and the fault plan does nothing) when [comm] routes no
+          class through the ring *)
   comm : comm_mode;
   setup_latency : int;            (** parallel-phase entry charge *)
   fuel : int;
@@ -76,9 +81,11 @@ val default_engine : Helix_engine.Engine.kind
     otherwise. *)
 
 val default_config :
-  ?ring:bool -> ?comm:comm_mode -> ?trace:Helix_obs.Trace.t ->
-  ?robust:robustness -> ?engine:Helix_engine.Engine.kind ->
-  Mach_config.t -> config
+  ?comm:comm_mode -> ?trace:Helix_obs.Trace.t -> ?robust:robustness ->
+  ?engine:Helix_engine.Engine.kind -> Mach_config.t -> config
+(** [comm] defaults to {!fully_decoupled}; [ring_cfg] is
+    [Ring.default_config] for the machine's core count.  Pass
+    {!fully_coupled} for the conventional machine. *)
 
 type invocation_record = {
   inv_loop : int;

@@ -30,7 +30,7 @@ let compile (config : Hcc_config.t) (prog : Ir.program)
 let run_sequential (mach : Mach_config.t) (prog : Ir.program)
     (mem : Memory.t) : Executor.result =
   let cfg =
-    Executor.default_config ~ring:false ~comm:Executor.fully_coupled
+    Executor.default_config ~comm:Executor.fully_coupled
       (Mach_config.with_cores mach 1)
   in
   Executor.run cfg prog mem

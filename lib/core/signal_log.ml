@@ -1,12 +1,20 @@
 (* Conventional-mode signal log: for every (segment, origin) pair the
    store cycles of its signals, oldest first, in a growable int array
    with a count.  Pairs live in one flat array indexed by
-   [seg * origins + origin]. *)
+   [seg * origins + origin].  [vis] holds every recorded signal's
+   visibility cycle in record order, for the event engine's wake-ups. *)
 
 type pair = { mutable times : int array; mutable count : int }
-type t = { origins : int; mutable pairs : pair array }
 
-let create ~origins = { origins; pairs = [||] }
+type t = {
+  origins : int;
+  latency : int;
+  mutable pairs : pair array;
+  vis : int Queue.t;
+}
+
+let create ~origins ~latency =
+  { origins; latency; pairs = [||]; vis = Queue.create () }
 
 let index t ~seg ~origin =
   if origin < 0 || origin >= t.origins then
@@ -22,6 +30,15 @@ let nth t ~seg ~origin k =
   if k < 1 || k > count t ~seg ~origin then invalid_arg "Signal_log.nth";
   t.pairs.(i).times.(k - 1)
 
+let visible t ~seg ~origin ~cycle k =
+  k <= 0
+  ||
+  let i = index t ~seg ~origin in
+  i < Array.length t.pairs
+  &&
+  let p = t.pairs.(i) in
+  p.count >= k && p.times.(k - 1) + t.latency <= cycle
+
 let record t ~seg ~origin ~cycle =
   let i = index t ~seg ~origin in
   let n = Array.length t.pairs in
@@ -36,6 +53,17 @@ let record t ~seg ~origin ~cycle =
     p.times <- times
   end;
   p.times.(p.count) <- cycle;
-  p.count <- p.count + 1
+  p.count <- p.count + 1;
+  Queue.add (cycle + t.latency) t.vis
 
-let reset t = Array.iter (fun p -> p.count <- 0) t.pairs
+let rec next_visible t ~now =
+  match Queue.peek_opt t.vis with
+  | Some v when v < now ->
+      ignore (Queue.pop t.vis);
+      next_visible t ~now
+  | Some v -> v
+  | None -> max_int
+
+let reset t =
+  Array.iter (fun p -> p.count <- 0) t.pairs;
+  Queue.clear t.vis

@@ -21,8 +21,7 @@ let default_workloads () =
 
 let with_ring f =
   let base = Exp_common.helix_cfg () in
-  { base with
-    Executor.ring_cfg = Some (f (Ring.default_config ~n_nodes:16)) }
+  { base with Executor.ring_cfg = f base.Executor.ring_cfg }
 
 let measure wl cfg =
   Exp_common.speedup_of wl (Exp_common.parallel wl Exp_common.V3 cfg)

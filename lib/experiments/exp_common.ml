@@ -152,9 +152,7 @@ let parallel (wl : Workload.t) (version : version) (exec_cfg : Executor.config)
   let stored =
     Option.is_none exec_cfg.Executor.trace
     && exec_cfg.Executor.robust = Executor.no_robustness
-    && Option.is_none
-         (Option.bind exec_cfg.Executor.ring_cfg (fun rc ->
-              rc.Helix_ring.Ring.faults))
+    && Option.is_none exec_cfg.Executor.ring_cfg.Helix_ring.Ring.faults
   in
   if stored then memo par_cache (wl.Workload.name, version, exec_cfg) run
   else run ()
@@ -162,22 +160,20 @@ let parallel (wl : Workload.t) (version : version) (exec_cfg : Executor.config)
 (* Canonical executor configurations *)
 
 let conventional_cfg ?(mach = Mach_config.default) ?engine () =
-  Executor.default_config ~ring:false ~comm:Executor.fully_coupled ?engine mach
+  Executor.default_config ~comm:Executor.fully_coupled ?engine mach
 
 let helix_cfg ?(mach = Mach_config.default) ?trace ?robust ?faults ?engine
     () =
   let cfg =
-    Executor.default_config ~ring:true ~comm:Executor.fully_decoupled ?trace
-      ?robust ?engine mach
+    Executor.default_config ~comm:Executor.fully_decoupled ?trace ?robust
+      ?engine mach
   in
   match faults with
   | None -> cfg
   | Some plan ->
       { cfg with
         Executor.ring_cfg =
-          Option.map
-            (fun rc -> { rc with Helix_ring.Ring.faults = Some plan })
-            cfg.Executor.ring_cfg }
+          { cfg.Executor.ring_cfg with Helix_ring.Ring.faults = Some plan } }
 
 (* Conventional run of a version's code (HCCv1/v2 always run here). *)
 let run_conventional wl version =

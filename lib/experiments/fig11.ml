@@ -28,10 +28,8 @@ let run_sweep ?(workloads = Registry.integer) ~label
     points
 
 let with_ring_cfg f () =
-  let mach = Mach_config.default in
-  let rc = Ring.default_config ~n_nodes:mach.Mach_config.n_cores in
-  let cfg = Exp_common.helix_cfg ~mach () in
-  { cfg with Executor.ring_cfg = Some (f rc) }
+  let cfg = Exp_common.helix_cfg () in
+  { cfg with Executor.ring_cfg = f cfg.Executor.ring_cfg }
 
 (* (a) core count *)
 let core_count ?workloads () =

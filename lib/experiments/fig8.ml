@@ -34,8 +34,10 @@ let run ?(workloads = Registry.integer) () : row list =
       let by_mode =
         List.map
           (fun m ->
-            let cfg = Executor.default_config ~ring:true ~comm:m.comm
-                Helix_machine.Mach_config.default in
+            let cfg =
+              Executor.default_config ~comm:m.comm
+                Helix_machine.Mach_config.default
+            in
             Exp_common.speedup_of wl
               (Exp_common.parallel wl Exp_common.V3 cfg))
           modes

@@ -179,29 +179,25 @@ let check_identical_kind ~kind (l : Executor.result) (e : Executor.result) =
 
 let jitter_cfg seed =
   let cfg =
-    Executor.default_config ~ring:true ~comm:Executor.fully_decoupled
+    Executor.default_config ~comm:Executor.fully_decoupled
       Mach_config.default
   in
   {
     cfg with
     Executor.ring_cfg =
-      Option.map
-        (fun rc ->
-          {
-            rc with
-            Helix_ring.Ring.faults =
-              Some (Helix_ring.Ring.faulty ~delay:2 ~seed ());
-          })
-        cfg.Executor.ring_cfg;
+      {
+        cfg.Executor.ring_cfg with
+        Helix_ring.Ring.faults = Some (Helix_ring.Ring.faulty ~delay:2 ~seed ());
+      };
   }
 
 let configs =
   [
     ( "helix",
-      Executor.default_config ~ring:true ~comm:Executor.fully_decoupled
+      Executor.default_config ~comm:Executor.fully_decoupled
         Mach_config.default );
     ( "conventional",
-      Executor.default_config ~ring:false ~comm:Executor.fully_coupled
+      Executor.default_config ~comm:Executor.fully_coupled
         Mach_config.default );
     ("jitter1", jitter_cfg 1);
     ("jitter42", jitter_cfg 42);
@@ -226,7 +222,7 @@ let mixed_configs =
       else
         Some
           ( m.Helix_experiments.Fig8.short,
-            Executor.default_config ~ring:true
+            Executor.default_config
               ~comm:m.Helix_experiments.Fig8.comm Mach_config.default ))
     Helix_experiments.Fig8.modes
 
@@ -243,11 +239,11 @@ let differential_tests =
    conventional machine (no ring, lazy signal visibility) adds head-only
    shared issue that keeps retrying. *)
 let ooo_tests =
-  let case ~name ~ring ~comm core wl_name =
+  let case ~name ~comm core wl_name =
     let wl = Registry.find wl_name in
     tc name (fun () ->
         let mach = { Mach_config.default with Mach_config.core } in
-        let cfg = Executor.default_config ~ring ~comm mach in
+        let cfg = Executor.default_config ~comm mach in
         let l = run_with ~engine:Engine.Legacy ~cfg wl in
         let e = run_with ~engine:Engine.Event ~cfg wl in
         check_identical_kind ~kind:1 l e;
@@ -262,14 +258,14 @@ let ooo_tests =
             ~name:
               (Printf.sprintf "%s / ooo width %d" wl_name
                  core.Mach_config.width)
-            ~ring:true ~comm:Executor.fully_decoupled core wl_name)
+            ~comm:Executor.fully_decoupled core wl_name)
         wls)
     [ Mach_config.ooo2_core; Mach_config.ooo4_core ]
   @ List.map
       (fun wl_name ->
         case
           ~name:(Printf.sprintf "%s / ooo4 conventional" wl_name)
-          ~ring:false ~comm:Executor.fully_coupled Mach_config.ooo4_core
+          ~comm:Executor.fully_coupled Mach_config.ooo4_core
           wl_name)
       wls
 
@@ -281,7 +277,7 @@ let sequential_tests =
   let seq_run ~engine mach (wl : Workload.t) =
     let s = wl.Workload.build () in
     let cfg =
-      Executor.default_config ~ring:false ~comm:Executor.fully_coupled ~engine
+      Executor.default_config ~comm:Executor.fully_coupled ~engine
         (Mach_config.with_cores mach 1)
     in
     Executor.run cfg s.Workload.prog (s.Workload.init Workload.Ref)
@@ -324,7 +320,7 @@ let fuel_test =
   tc "fuel exhaustion fires at the same cycle" (fun () ->
       let cfg =
         {
-          (Executor.default_config ~ring:true ~comm:Executor.fully_decoupled
+          (Executor.default_config ~comm:Executor.fully_decoupled
              Mach_config.default)
           with
           Executor.fuel = 10_000;
@@ -347,7 +343,7 @@ let watchdog_test =
          wedge *)
       let cfg =
         {
-          (Executor.default_config ~ring:true ~comm:Executor.fully_decoupled
+          (Executor.default_config ~comm:Executor.fully_decoupled
              Mach_config.default)
           with
           Executor.watchdog_cycles = 40;
@@ -362,6 +358,29 @@ let watchdog_test =
         (Executor.stuck_reason_name Executor.Deadlock)
         (Executor.stuck_reason_name rl);
       check Alcotest.string "identical stuck report" sl se)
+
+(* Fig. 8's reg+mem column carries data on the ring but signals through
+   the conventional log: a run stopped mid-loop must report the log's
+   signal counts, not those of the ring's empty signal buffers. *)
+let mixed_stuck_test =
+  tc "reg+mem stuck report reads the signal log" (fun () ->
+      let cfg =
+        { (List.assoc "reg+mem" mixed_configs) with Executor.fuel = 20_000 }
+      in
+      let _, report = stuck_of ~engine:Engine.Event ~cfg (gzip ()) in
+      let words =
+        String.split_on_char ' '
+          (String.map (function ';' | '\n' -> ' ' | c -> c) report)
+      in
+      let rec haves acc = function
+        | "have" :: n :: rest -> haves (int_of_string n :: acc) rest
+        | _ :: rest -> haves acc rest
+        | [] -> acc
+      in
+      let have = haves [] words in
+      check Alcotest.bool "wait targets reported" true (have <> []);
+      check Alcotest.bool "some signal counted" true
+        (List.exists (fun h -> h > 0) have))
 
 (* ---- synthetic components: the engine protocol in isolation ---------- *)
 
@@ -558,7 +577,7 @@ let pool_tests =
             let helix = E.run_helix wl E.V3 in
             (* Fig. 8's "all" column spells the default config its own way *)
             let fig8_all =
-              Executor.default_config ~ring:true
+              Executor.default_config
                 ~comm:Executor.fully_decoupled Mach_config.default
             in
             let d = Mach_config.default in
@@ -602,7 +621,7 @@ let () =
       ("differential", differential_tests);
       ("ooo-differential", ooo_tests);
       ("seq-differential", sequential_tests);
-      ("stuck-boundaries", [ fuel_test; watchdog_test ]);
+      ("stuck-boundaries", [ fuel_test; watchdog_test; mixed_stuck_test ]);
       ( "synthetic",
         synthetic_tests
         @ [ QCheck_alcotest.to_alcotest prop_pulse_differential ] );

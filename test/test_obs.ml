@@ -283,7 +283,7 @@ let deadlock_tests =
         let tr = Trace.create () in
         let cfg =
           {
-            (Executor.default_config ~ring:true
+            (Executor.default_config
                ~comm:Executor.fully_decoupled ~trace:tr Mach_config.default)
             with
             Executor.watchdog_cycles = 20_000;

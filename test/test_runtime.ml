@@ -206,23 +206,23 @@ let equivalence_tests =
 
 let comm_mode_tests =
   List.concat_map
-    (fun (mode_name, ring, comm) ->
+    (fun (mode_name, comm) ->
       List.map
         (fun s ->
           tc (Fmt.str "%s mode: %s" mode_name s.name) (fun () ->
               let cfg =
-                Executor.default_config ~ring ~comm Mach_config.default
+                Executor.default_config ~comm Mach_config.default
               in
               let g, _, par = run_scenario ~exec_cfg:cfg s in
               let v = Helix.verify g par in
               Alcotest.(check bool) v.Helix.detail true v.Helix.ok))
         [ s_hist; s_quadratic; s_trip 7 ])
     [
-      ("conventional", false, Executor.fully_coupled);
-      ("sync-only", true,
+      ("conventional", Executor.fully_coupled);
+      ("sync-only",
        { Executor.reg_via_ring = false; mem_via_ring = false;
          sync_via_ring = true });
-      ("mem-only", true,
+      ("mem-only",
        { Executor.reg_via_ring = false; mem_via_ring = true;
          sync_via_ring = false });
     ]
@@ -505,14 +505,11 @@ let robustness_tests =
                   {
                     c with
                     Executor.ring_cfg =
-                      Option.map
-                        (fun rc ->
-                          {
-                            rc with
-                            Helix_ring.Ring.faults =
-                              Some (Helix_ring.Ring.faulty ~delay:2 ~seed ());
-                          })
-                        c.Executor.ring_cfg;
+                      {
+                        c.Executor.ring_cfg with
+                        Helix_ring.Ring.faults =
+                          Some (Helix_ring.Ring.faulty ~delay:2 ~seed ());
+                      };
                   }
                 in
                 let g, _, par = run_scenario ~exec_cfg:cfg s in
@@ -646,10 +643,7 @@ let run_faulty ?(robust = Executor.no_robustness) ?engine
     {
       c with
       Executor.watchdog_cycles = watchdog;
-      ring_cfg =
-        Option.map
-          (fun rc -> { rc with Helix_ring.Ring.faults = Some plan })
-          c.Executor.ring_cfg;
+      ring_cfg = { c.Executor.ring_cfg with Helix_ring.Ring.faults = Some plan };
     }
   in
   let par =
@@ -1176,7 +1170,7 @@ let s_two_hists =
       Ir.Reg v)
 
 let conventional_cfg ?(robust = Executor.no_robustness) () =
-  Executor.default_config ~ring:false ~comm:Executor.fully_coupled ~robust
+  Executor.default_config ~comm:Executor.fully_coupled ~robust
     Mach_config.default
 
 (* ---- blocked and idle ticks ---------------------------------------------- *)
@@ -1285,7 +1279,7 @@ let wait_protocol_tests =
     QCheck_alcotest.to_alcotest prop_wait_loop_matches_reference;
     QCheck_alcotest.to_alcotest prop_wait_cursor_matches_full_walk;
     tc "signal log grows and answers the nth-oldest store cycle" (fun () ->
-        let log = Signal_log.create ~origins:4 in
+        let log = Signal_log.create ~origins:4 ~latency:0 in
         let cycle k = (3 * k) + (k mod 5) in
         for k = 1 to 1000 do
           Signal_log.record log ~seg:2 ~origin:3 ~cycle:(cycle k)
@@ -1313,6 +1307,24 @@ let wait_protocol_tests =
           (Signal_log.count log ~seg:2 ~origin:3);
         check Alcotest.int "oldest is the new one" 9
           (Signal_log.nth log ~seg:2 ~origin:3 1));
+    tc "signal log: visibility latency and next wake-up" (fun () ->
+        let log = Signal_log.create ~origins:2 ~latency:6 in
+        check Alcotest.int "nothing pending" max_int
+          (Signal_log.next_visible log ~now:0);
+        Signal_log.record log ~seg:0 ~origin:1 ~cycle:10;
+        Signal_log.record log ~seg:1 ~origin:0 ~cycle:12;
+        let vis ~cycle k = Signal_log.visible log ~seg:0 ~origin:1 ~cycle k in
+        check Alcotest.bool "threshold 0 always met" true (vis ~cycle:0 0);
+        check Alcotest.bool "in flight at 15" false (vis ~cycle:15 1);
+        check Alcotest.bool "visible at 16" true (vis ~cycle:16 1);
+        check Alcotest.bool "second never stored" false (vis ~cycle:99 2);
+        check Alcotest.int "first wake-up" 16
+          (Signal_log.next_visible log ~now:3);
+        check Alcotest.int "past the first" 18
+          (Signal_log.next_visible log ~now:17);
+        Signal_log.reset log;
+        check Alcotest.int "reset forgets wake-ups" max_int
+          (Signal_log.next_visible log ~now:17));
     tc "conventional mode: each invocation starts from an empty log"
       (fun () ->
         let g, _, par =
@@ -1531,7 +1543,7 @@ let prop_random_pipeline_conventional =
       in
       let par =
         Executor.run ~compiled
-          (Executor.default_config ~ring:false ~comm:Executor.fully_coupled
+          (Executor.default_config ~comm:Executor.fully_coupled
              Mach_config.default)
           compiled.Hcc.cp_prog (Memory.create ())
       in

@@ -54,7 +54,7 @@ let pipeline_tests =
   List.concat_map
     (fun wl ->
       List.map
-        (fun (vname, cfg, ring, comm) ->
+        (fun (vname, cfg, comm) ->
           slow (Fmt.str "%s under %s: oracle" wl.Workload.name vname)
             (fun () ->
               let g = golden wl Workload.Ref in
@@ -64,8 +64,7 @@ let pipeline_tests =
                   ~train_mem:(s.Workload.init Workload.Train)
               in
               let exec_cfg =
-                Executor.default_config ~ring ~comm
-                  Helix_machine.Mach_config.default
+                Executor.default_config ~comm Helix_machine.Mach_config.default
               in
               let par =
                 Executor.run ~compiled exec_cfg compiled.Hcc.cp_prog
@@ -76,9 +75,9 @@ let pipeline_tests =
               Alcotest.(check bool) "one-lap signal bound" true
                 (par.Executor.r_max_outstanding_signals <= 2)))
         [
-          ("HCCv1", Hcc_config.v1 (), false, Executor.fully_coupled);
-          ("HCCv2", Hcc_config.v2 (), false, Executor.fully_coupled);
-          ("HELIX-RC", Hcc_config.v3 (), true, Executor.fully_decoupled);
+          ("HCCv1", Hcc_config.v1 (), Executor.fully_coupled);
+          ("HCCv2", Hcc_config.v2 (), Executor.fully_coupled);
+          ("HELIX-RC", Hcc_config.v3 (), Executor.fully_decoupled);
         ])
     Registry.all
 

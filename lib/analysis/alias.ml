@@ -131,7 +131,5 @@ let effects_conflict_with alias (a : effect_) (b : effect_) : bool =
     || any_pair a.e_writes b.e_reads
     || any_pair a.e_reads b.e_writes
 
-let effects_conflict (t : tier) = effects_conflict_with (may_alias t)
-
 let effects_conflict_carried (t : tier) =
   effects_conflict_with (may_alias_carried t)

@@ -51,5 +51,4 @@ val effect_of_instr :
 (** Pure math intrinsics are transparent at every tier; memory-touching
     library calls are opaque below the "+lib calls" tier. *)
 
-val effects_conflict : tier -> effect_ -> effect_ -> bool
 val effects_conflict_carried : tier -> effect_ -> effect_ -> bool

@@ -37,10 +37,3 @@ let num_defs t r = List.length (defs_of t r)
 
 (* The single definition of [r], or [None] if zero or several. *)
 let unique_def t r = match defs_of t r with [ d ] -> Some d | _ -> None
-
-let all_regs t =
-  let s = Hashtbl.create 64 in
-  Hashtbl.iter (fun r _ -> Hashtbl.replace s r ()) t.defs;
-  Hashtbl.iter (fun r _ -> Hashtbl.replace s r ()) t.uses;
-  Hashtbl.iter (fun r _ -> Hashtbl.replace s r ()) t.term_uses;
-  Hashtbl.fold (fun r () acc -> r :: acc) s [] |> List.sort compare

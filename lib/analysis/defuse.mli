@@ -11,4 +11,3 @@ val uses_of : t -> Ir.reg -> Ir.ipos list
 val term_uses_of : t -> Ir.reg -> Ir.label list
 val num_defs : t -> Ir.reg -> int
 val unique_def : t -> Ir.reg -> Ir.ipos option
-val all_regs : t -> Ir.reg list

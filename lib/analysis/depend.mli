@@ -27,13 +27,6 @@ type loop_deps = {
   ld_shared : Ir.mem_annot list;  (** annotations involved in them *)
 }
 
-val func_summary : Alias.tier -> Ir.program -> string -> Alias.effect_
-(** Transitive read/write summary of a function (recursion degrades to
-    opaque). *)
-
-val loop_mem_nodes :
-  Alias.tier -> Ir.program -> Ir.func -> Loops.loop -> mem_node list
-
 val compute : Alias.tier -> Ir.program -> Ir.func -> Loops.loop -> loop_deps
 
 val shared_classes :

@@ -66,12 +66,6 @@ let dominates t a b =
 
 let strictly_dominates t a b = a <> b && dominates t a b
 
-(* Children in the dominator tree. *)
-let dom_children t l =
-  Hashtbl.fold
-    (fun b p acc -> if p = l && b <> l then b :: acc else acc)
-    t.idom []
-
 (* Dominance frontier (per Cooper et al.); unused by the parallelizer
    itself but exercised by tests and available for SSA-style transforms. *)
 let frontiers t =

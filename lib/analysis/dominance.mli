@@ -11,7 +11,6 @@ val idom : t -> Ir.label -> Ir.label option
 
 val dominates : t -> Ir.label -> Ir.label -> bool
 val strictly_dominates : t -> Ir.label -> Ir.label -> bool
-val dom_children : t -> Ir.label -> Ir.label list
 
 val frontiers : t -> Ir.label -> Ir.label list
 (** Dominance frontiers (Cooper et al.). *)

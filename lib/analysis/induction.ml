@@ -43,12 +43,6 @@ let invariant (f : Ir.func) (lp : Loops.loop) (o : Ir.operand) =
              || (Loops.contains lp pos.Ir.ip_block
                 && List.mem r (Ir.defs_of_instr ins))))
 
-(* All (pos, instr) pairs inside the loop. *)
-let loop_instrs (f : Ir.func) (lp : Loops.loop) =
-  Ir.fold_instrs f [] (fun acc pos ins ->
-      if Loops.contains lp pos.Ir.ip_block then (pos, ins) :: acc else acc)
-  |> List.rev
-
 (* The update sites of a single-update register: the arithmetic
    instruction and the committing mov (equal when the update is a direct
    [r = op r, x]). *)

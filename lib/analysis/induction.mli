@@ -15,8 +15,6 @@ type iv = { iv_reg : Ir.reg; iv_kind : kind; iv_op : Ir.binop }
 val invariant : Ir.func -> Loops.loop -> Ir.operand -> bool
 (** Immediate, or register never defined inside the loop. *)
 
-val loop_instrs : Ir.func -> Loops.loop -> (Ir.ipos * Ir.instr) list
-
 (** The two sites of a single-update register: the arithmetic instruction
     and the committing mov (equal for the direct [r = op r, x] form). *)
 type update_sites = {

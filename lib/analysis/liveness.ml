@@ -41,14 +41,3 @@ let compute (cfg : Cfg.t) : t =
       ~entry_fact:Int_set.empty ~gen_kill cfg
   in
   { live_in = sol.Dataflow.fact_in; live_out = sol.Dataflow.fact_out }
-
-(* Is [r] live at the entry of any exit target of loop [lp]?  Used by the
-   "set but not used until after the loop" predictable-variable class. *)
-let live_after_loop t (lp : Loops.loop) r =
-  List.exists (fun (_, out_block) -> Int_set.mem r (t.live_in out_block))
-    lp.Loops.l_exits
-
-(* Is [r] live around the back edge (i.e. carried from one iteration to the
-   next)?  True when r is live at the loop header entry and defined inside
-   the loop. *)
-let live_at_header t (lp : Loops.loop) r = Int_set.mem r (t.live_in lp.Loops.l_header)

@@ -14,7 +14,3 @@ val block_gen_kill : Ir.func -> Ir.label -> Int_set.t * Int_set.t
 
 val compute : Cfg.t -> t
 
-val live_after_loop : t -> Loops.loop -> Ir.reg -> bool
-(** Live at the entry of any loop-exit target. *)
-
-val live_at_header : t -> Loops.loop -> Ir.reg -> bool

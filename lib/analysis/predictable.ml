@@ -128,19 +128,3 @@ let classify ?(poly2 = true) ?(recognize_reductions = true)
           then { c_reg = r; c_category = Set_every_iter; c_iv = None }
           else { c_reg = r; c_category = Unpredictable; c_iv = None })
     carried
-
-let unpredictable_regs cls =
-  List.filter_map
-    (fun c ->
-      match c.c_category with Unpredictable -> Some c.c_reg | _ -> None)
-    cls
-
-let predictable_fraction cls =
-  match cls with
-  | [] -> 1.0
-  | _ ->
-      let p =
-        List.length
-          (List.filter (fun c -> c.c_category <> Unpredictable) cls)
-      in
-      float_of_int p /. float_of_int (List.length cls)

@@ -36,5 +36,3 @@ val classify :
     other recognizers.  Reductions are validated: an accumulator read by
     anything other than its own update is unpredictable. *)
 
-val unpredictable_regs : classified list -> Ir.reg list
-val predictable_fraction : classified list -> float

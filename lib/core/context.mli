@@ -74,9 +74,6 @@ val set_mem_hook :
     window).  Libcall-internal reads (strcmp/memchr) are not reported —
     they are private-world accesses by construction. *)
 
-val current_segment : t -> int option
-(** Innermost open segment of the executing context, if any. *)
-
 val reg_value : t -> Ir.reg -> int
 (** Current frame's register, e.g. to evaluate parallel-loop parameters
     at loop entry. *)
@@ -87,10 +84,6 @@ val operand_value : t -> Ir.operand -> int
 val jump_to : t -> Ir.label -> unit
 (** Resume the current frame at [block] (the executor finishing a
     parallel loop sends the serial core to the loop exit). *)
-
-val step : t -> Uop.t option
-(** Execute at most one instruction; [None] with status [Running] means
-    progress without a timed uop (an unconditional jump). *)
 
 val next_uop : t -> Uop.t option
 (** Pull the next uop, advancing as needed; [None] when blocked,

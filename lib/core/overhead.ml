@@ -100,8 +100,3 @@ let analyze ~(n_cores : int) ~(seq_retired : int) (par : Executor.result) : t =
     ov_communication = norm (float_of_int comm);
     ov_dependence_waiting = norm (float_of_int dep);
   }
-
-let pp ppf t =
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "%s: %.1f%%@." name (100.0 *. v))
-    (categories t)

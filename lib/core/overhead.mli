@@ -18,4 +18,3 @@ val analyze : n_cores:int -> seq_retired:int -> Executor.result -> t
     count (invocations with fewer iterations than core slots) and
     imbalance; serial-phase idling folds into imbalance. *)
 
-val pp : Format.formatter -> t -> unit

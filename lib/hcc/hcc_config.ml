@@ -75,6 +75,3 @@ let v3 ?(target_cores = 16) () =
     profile_loop_selection = true;
     sync_latency = 10; (* ring-cache latency assumption *)
   }
-
-let version_name = function V1 -> "HCCv1" | V2 -> "HCCv2" | V3 -> "HCCv3"
-let name t = version_name t.version

@@ -26,5 +26,3 @@ val v1 : ?target_cores:int -> unit -> t
 val v2 : ?target_cores:int -> unit -> t
 val v3 : ?target_cores:int -> unit -> t
 
-val version_name : version -> string
-val name : t -> string

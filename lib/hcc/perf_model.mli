@@ -18,8 +18,6 @@ type loop_facts = {
   lf_loop_wide : bool;
 }
 
-val cpi : float
-
 val estimate :
   n_cores:int -> sync_latency:int -> decoupled:bool -> loop_facts -> estimate
 

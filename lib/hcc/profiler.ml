@@ -25,10 +25,6 @@ type t = {
   train_ret : int option;
 }
 
-let iterations_per_invocation p =
-  if p.lpf_invocations = 0 then 0.0
-  else float_of_int p.lpf_iterations /. float_of_int p.lpf_invocations
-
 let instrs_per_iteration p =
   if p.lpf_iterations = 0 then 0.0
   else float_of_int p.lpf_instrs /. float_of_int p.lpf_iterations

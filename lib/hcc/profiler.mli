@@ -21,7 +21,6 @@ type t = {
   train_ret : int option;
 }
 
-val iterations_per_invocation : loop_profile -> float
 val instrs_per_iteration : loop_profile -> float
 
 val run : Ir.program -> (string -> Loops.t) -> Memory.t -> t

@@ -12,8 +12,6 @@ type t = {
   seg_positions : Ir.ipos list;
 }
 
-val effect_touches : Alias.tier -> Alias.effect_ -> Ir.mem_annot list -> bool
-
 val mem_positions :
   Alias.tier -> Depend.loop_deps -> Ir.mem_annot list -> Ir.ipos list
 

@@ -14,10 +14,6 @@ type candidate = {
 val threshold : float
 (** Minimum predicted speedup for selection. *)
 
-val conflicts : candidate -> candidate -> (string -> Loops.t) -> bool
-(** Nesting overlap within one function (only one loop of a nest may run
-    in parallel at a time). *)
-
 val choose : candidate list -> (string -> Loops.t) -> candidate list
 
 val coverage : candidate list -> Profiler.t -> float

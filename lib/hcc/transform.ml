@@ -124,8 +124,3 @@ let clone_blocks ~(src : Ir.func) ~(dst : Ir.func) ~(labels : Ir.label list)
         })
     labels;
   map
-
-(* Make register counters of [dst] at least those of [src], so cloned
-   instructions' registers stay in range. *)
-let adopt_reg_space ~(src : Ir.func) ~(dst : Ir.func) =
-  dst.Ir.f_next_reg <- max dst.Ir.f_next_reg src.Ir.f_next_reg

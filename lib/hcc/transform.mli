@@ -26,4 +26,3 @@ val clone_blocks :
 (** Clone blocks into [dst] with fresh labels; out-of-set edges pass
     through [redirect].  Returns the label map. *)
 
-val adopt_reg_space : src:Ir.func -> dst:Ir.func -> unit

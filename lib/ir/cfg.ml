@@ -49,20 +49,3 @@ let of_func (f : Ir.func) : t =
 (* Blocks in layout order that are reachable from the entry. *)
 let reachable_blocks t =
   List.filter (is_reachable t) t.func.Ir.f_order
-
-let num_reachable t = Array.length t.rpo
-
-(* [dfs_tree t] returns, for each reachable block, its DFS discovery index;
-   used by property tests to cross-check dominator results. *)
-let dfs_order t =
-  let order = Hashtbl.create 17 in
-  let n = ref 0 in
-  let rec go l =
-    if not (Hashtbl.mem order l) then begin
-      Hashtbl.replace order l !n;
-      incr n;
-      List.iter go (successors t l)
-    end
-  in
-  go (entry t);
-  order

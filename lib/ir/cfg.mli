@@ -23,7 +23,4 @@ val reverse_postorder : t -> Ir.label array
 val rpo_index : t -> Ir.label -> int option
 val is_reachable : t -> Ir.label -> bool
 val reachable_blocks : t -> Ir.label list
-val num_reachable : t -> int
 
-val dfs_order : t -> (Ir.label, int) Hashtbl.t
-(** DFS discovery indices, used by property tests. *)

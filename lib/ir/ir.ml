@@ -125,8 +125,6 @@ let block_of_func f l =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir.block_of_func: no block %d in %s" l f.f_name)
 
-let blocks_in_order f = List.map (block_of_func f) f.f_order
-
 let fresh_reg f =
   let r = f.f_next_reg in
   f.f_next_reg <- r + 1;
@@ -202,8 +200,6 @@ let uses_of_term = function
   | Ret (Some o) -> regs_of_operand o
   | Ret None -> []
 
-let is_mem_access = function Load _ | Store _ -> true | _ -> false
-
 let is_sync = function Wait _ | Signal _ -> true | _ -> false
 
 let libcall_name = function
@@ -246,5 +242,3 @@ let fold_instrs f acc k =
   let acc = ref acc in
   iter_instrs f (fun pos ins -> acc := k !acc pos ins);
   !acc
-
-let num_instrs f = fold_instrs f 0 (fun n _ _ -> n + 1)

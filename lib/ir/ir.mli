@@ -109,7 +109,6 @@ val fresh_label : func -> label
 val find_func : program -> string -> func
 val main_func : program -> func
 val block_of_func : func -> label -> block
-val blocks_in_order : func -> block list
 val successors : terminator -> label list
 
 (** {1 Structural queries} *)
@@ -119,7 +118,6 @@ val uses_of_instr : instr -> reg list
 val uses_of_term : terminator -> reg list
 val regs_of_operand : operand -> reg list
 val regs_of_addr : addr -> reg list
-val is_mem_access : instr -> bool
 val is_sync : instr -> bool
 
 val libcall_name : libcall -> string
@@ -135,4 +133,3 @@ type ipos = { ip_block : label; ip_index : int }
 val iter_instrs : func -> (ipos -> instr -> unit) -> unit
 val instr_at : func -> ipos -> instr
 val fold_instrs : func -> 'a -> ('a -> ipos -> instr -> 'a) -> 'a
-val num_instrs : func -> int

@@ -183,7 +183,7 @@ let loops_tests =
         | None -> Alcotest.fail "inner loop not found");
   ]
 
-(* ---- liveness / reaching / defuse -------------------------------------- *)
+(* ---- liveness / defuse ----------------------------------------------- *)
 
 let dataflow_tests =
   [
@@ -204,14 +204,6 @@ let dataflow_tests =
         let live = Liveness.compute (Cfg.of_func f) in
         Alcotest.(check bool) "dead temp" false
           (Dataflow.Int_set.mem dead (live.Liveness.live_in f.Ir.f_entry)));
-    tc "reaching: carried def reaches header" (fun () ->
-        let f, sum = sum_loop () in
-        let cfg = Cfg.of_func f in
-        let reach = Reaching.compute cfg in
-        let lt = Loops.compute cfg in
-        let lp = List.hd (Loops.loops lt) in
-        Alcotest.(check bool) "sum's in-loop def carried" true
-          (Reaching.carried_defs reach lp sum <> []));
     tc "defuse counts defs and uses" (fun () ->
         let f, sum = sum_loop () in
         let du = Defuse.compute f in

@@ -823,7 +823,6 @@ let export_metrics t (m : Helix_obs.Metrics.t) =
     (Array.fold_left (fun acc n -> acc + n.forwarded) 0 t.nodes);
   Metrics.set_int m "ring.injected"
     (Array.fold_left (fun acc n -> acc + n.injected) 0 t.nodes);
-  Metrics.set_int m "ring.max_outstanding_signals" (max_outstanding_signals t);
   (* fault/recovery counters: always exported (all zero in a fault-free
      run, so cross-engine metric diffs stay trivially identical) *)
   Metrics.set_int m "ring.inflight_data" t.inflight_data;
